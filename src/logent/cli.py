@@ -31,7 +31,6 @@ from .logical import (
 )
 from .partitions import (
     bell_number,
-    dit_set,
     enumerate_partitions,
     implication,
     join,
@@ -139,10 +138,16 @@ def _bit_unit(args) -> str:
     return "nats" if args.base == "e" else "bits"
 
 
-def _parse_weights(args, size: int) -> Distribution | None:
+def _parse_weights(args) -> Distribution | None:
     if args.weights is None:
         return None
     return formats.parse_distribution(_read_text(args.weights), exact=args.exact)
+
+
+def _dit_count(partition) -> int:
+    """|dit| = n^2 - sum |B|^2: ordered pairs split by the partition."""
+    n = partition.universe.size
+    return n * n - sum(len(b) * len(b) for b in partition.blocks)
 
 
 # ----------------------------------------------------------------------
@@ -159,10 +164,10 @@ def _cmd_entropy(args) -> CommandResult:
         kind = "partition" if "|" in text else "dist"
     if kind == "partition":
         partition = formats.parse_partition(text, n=args.n)
-        weights = _parse_weights(args, partition.universe.size)
+        weights = _parse_weights(args)
         h = logical_entropy_partition(partition, weights)
         capital_h = shannon_entropy_partition(partition, weights, base)
-        dits = len(dit_set(partition))
+        dits = _dit_count(partition)
         inputs = {"partition": formats.format_partition(partition), "weights": args.weights}
     else:
         if args.weights is not None:
@@ -266,7 +271,7 @@ def _cmd_ops(args) -> CommandResult:
     base = _base_of(args)
     outputs = {
         "partition": formats.format_partition(result),
-        "dits": len(dit_set(result)),
+        "dits": _dit_count(result),
         "h": logical_entropy_partition(result),
         "H": shannon_entropy_partition(result, None, base),
         "blocks": result.n_blocks,

@@ -6,6 +6,11 @@ the product measure of the dit set, so every compound quantity (conditional,
 joint, mutual, cross) is the measure of an explicit subset of a pair space
 and the usual Venn identities hold literally.
 
+That measure is fixed by block masses, so production never builds the pair
+space: a partition pair, like a joint distribution, becomes one table of
+block-intersection masses, and one formula per quantity is evaluated over it.
+:func:`product_measure` on a dit set is the specification it is checked against.
+
 All functions are pure and numeric-type generic: feed them ``float`` entries
 for fast arithmetic or ``fractions.Fraction`` entries for exact arithmetic.
 Zero-probability outcomes are kept (they contribute nothing) so indices stay
@@ -17,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import (
     DomainError,
@@ -26,7 +31,7 @@ from .errors import (
     LogentError,
     SizeMismatchError,
 )
-from .partitions import Partition, PairRelation, dit_set, join, mutual_dit_set
+from .partitions import Partition, PairRelation, _check_same_universe
 
 NORMALIZATION_TOLERANCE = 1e-9
 IDENTITY_TOLERANCE = 1e-12
@@ -37,7 +42,7 @@ def _accumulate(terms: Iterable):
     values = list(terms)
     if values and all(isinstance(v, float) for v in values):
         return math.fsum(values)
-    return sum(values)
+    return sum(values[1:], values[0]) if values else 0  # no 0 + first: one Fraction op fewer
 
 
 @dataclass(frozen=True)
@@ -57,8 +62,8 @@ class Distribution:
         if not probs:
             raise InvalidDistributionError("a distribution needs at least one outcome")
         for p in probs:
-            if p < 0:
-                raise InvalidDistributionError(f"negative probability {p}")
+            if not p >= 0:  # also rejects NaN, which compares false with everything
+                raise InvalidDistributionError(f"probability {p} is not a nonnegative number")
         total = sum(probs)
         if abs(float(total) - 1.0) > NORMALIZATION_TOLERANCE:
             raise InvalidDistributionError(f"probabilities sum to {float(total)}, not 1")
@@ -116,8 +121,8 @@ class JointDistribution:
             if len(r) != width:
                 raise InvalidDistributionError("ragged joint matrix")
             for p in r:
-                if p < 0:
-                    raise InvalidDistributionError(f"negative probability {p}")
+                if not p >= 0:  # also rejects NaN
+                    raise InvalidDistributionError(f"probability {p} is not a nonnegative number")
         total = sum(p for r in rows for p in r)
         if abs(float(total) - 1.0) > NORMALIZATION_TOLERANCE:
             raise InvalidDistributionError(f"joint probabilities sum to {float(total)}, not 1")
@@ -203,13 +208,6 @@ def _check_same_length(p: Distribution, q: Distribution) -> None:
         raise SizeMismatchError(f"distributions of length {len(p)} and {len(q)}")
 
 
-def _check_weights(partition: Partition, weights: Distribution | None) -> None:
-    if weights is not None and len(weights) != partition.universe.size:
-        raise SizeMismatchError(
-            f"weights of length {len(weights)} for a universe of size {partition.universe.size}"
-        )
-
-
 # ----------------------------------------------------------------------
 # core measures
 # ----------------------------------------------------------------------
@@ -235,22 +233,80 @@ def identification_probability(p: Distribution):
     return _accumulate(q * q for q in p.probs)
 
 
-def logical_entropy_partition(partition: Partition, weights: Distribution | None = None):
-    """Measure of the dit set: |dit|/n^2 unweighted, mu(dit) under weights."""
-    _check_weights(partition, weights)
+def _masses(groups, n: int, weights: Distribution | None) -> tuple:
+    """Masses of element groups and their total T: sizes (T = n) or weight sums (T = 1)."""
     if weights is None:
-        n = partition.universe.size
-        return len(dit_set(partition)) / (n * n)
-    return product_measure(dit_set(partition), weights)
+        return [len(g) for g in groups], n
+    if len(weights) != n:
+        raise SizeMismatchError(f"weights of length {len(weights)} for a universe of size {n}")
+    probs = weights.probs
+    return [_accumulate(probs[u] for u in g) for g in groups], 1
+
+
+class _MassTable(NamedTuple):
+    """Cells (i, j, mass), row and column sums, and total T; conditioning is on columns j."""
+
+    cells: list
+    rows: tuple
+    cols: tuple
+    total: object
+
+
+def _partition_table(p: Partition, s: Partition, weights: Distribution | None) -> _MassTable:
+    """Nonempty intersections B & C of the blocks of p (rows) and s (columns)."""
+    _check_same_universe(p, s)
+    p_index, s_index = p.block_index_of(), s.block_index_of()
+    groups: dict[tuple[int, int], list[int]] = {}
+    for u in range(len(p_index)):
+        groups.setdefault((p_index[u], s_index[u]), []).append(u)
+    masses, total = _masses(groups.values(), len(p_index), weights)
+    cells = [(i, j, m) for (i, j), m in zip(groups, masses)]
+    rows, cols = [[] for _ in p.blocks], [[] for _ in s.blocks]
+    for i, j, m in cells:
+        rows[i].append(m)
+        cols[j].append(m)
+    return _MassTable(cells, tuple(map(_accumulate, rows)), tuple(map(_accumulate, cols)), total)
+
+
+def _joint_table(joint: JointDistribution, given: str = "y") -> _MassTable:
+    """The joint's cells with the ``given`` axis as columns (transposed for 'x')."""
+    if given == "y":
+        return _MassTable(list(joint.cells()), joint.marginal_x, joint.marginal_y, 1)
+    if given == "x":
+        transposed = [(j, i, p) for i, j, p in joint.cells()]
+        return _MassTable(transposed, joint.marginal_y, joint.marginal_x, 1)
+    raise DomainError(f"axis selector must be 'x' or 'y', got {given!r}")
+
+
+def _logical_conditional(table: _MassTable):
+    """sum m * (col - m) / T^2: pairs that differ in the row but share the column."""
+    cols, total = table.cols, table.total
+    return _accumulate(m * (cols[j] - m) for _, j, m in table.cells) / (total * total)
+
+
+def _logical_mutual(table: _MassTable):
+    """sum m * ((T - row) + (T - col) - (T - m)) / T^2: pairs that differ in both."""
+    total = table.total
+    row_rest = [total - r for r in table.rows]
+    col_rest = [total - c for c in table.cols]
+    return _accumulate(
+        m * (row_rest[i] + col_rest[j] - (total - m)) for i, j, m in table.cells
+    ) / (total * total)
+
+
+def logical_entropy_partition(partition: Partition, weights: Distribution | None = None):
+    """Measure of the dit set: (T^2 - sum m_B^2) / T^2 over the block masses m_B.
+
+    That is |dit|/n^2 unweighted (T = n, m_B = |B|) and mu(dit) under weights.
+    """
+    masses, total = _masses(partition.blocks, partition.universe.size, weights)
+    return (total * total - _accumulate(m * m for m in masses)) / (total * total)
 
 
 def block_probabilities(partition: Partition, weights: Distribution | None = None) -> tuple:
     """p_B for each block: the share of weight (or of elements) it carries."""
-    _check_weights(partition, weights)
-    if weights is None:
-        n = partition.universe.size
-        return tuple(len(b) / n for b in partition.blocks)
-    return tuple(_accumulate(weights.probs[u] for u in b) for b in partition.blocks)
+    masses, total = _masses(partition.blocks, partition.universe.size, weights)
+    return tuple(m / total for m in masses)
 
 
 def logical_conditional_partition(
@@ -262,22 +318,12 @@ def logical_conditional_partition(
     general weights go through the product measure in the same way as the
     plain entropy (an extension of the unweighted counting form).
     """
-    relation = dit_set(p).difference(dit_set(s))
-    _check_weights(p, weights)
-    if weights is None:
-        n = p.universe.size
-        return len(relation) / (n * n)
-    return product_measure(relation, weights)
+    return _logical_conditional(_partition_table(p, s, weights))
 
 
 def logical_mutual_partition(p: Partition, s: Partition, weights: Distribution | None = None):
     """Measure of dit(p) & dit(s); equals h(p) + h(s) - h(p v s)."""
-    relation = mutual_dit_set(p, s)
-    _check_weights(p, weights)
-    if weights is None:
-        n = p.universe.size
-        return len(relation) / (n * n)
-    return product_measure(relation, weights)
+    return _logical_mutual(_partition_table(p, s, weights))
 
 
 # ----------------------------------------------------------------------
@@ -290,22 +336,13 @@ def joint_logical_entropy(joint: JointDistribution):
     return 1 - _accumulate(p * p for _, _, p in joint.cells())
 
 
-def _marginal_for_axis(joint: JointDistribution, given: str):
-    if given == "y":
-        return lambda i, j: joint.marginal_y[j]
-    if given == "x":
-        return lambda i, j: joint.marginal_x[i]
-    raise DomainError(f"axis selector must be 'x' or 'y', got {given!r}")
-
-
 def logical_conditional_joint(joint: JointDistribution, given: str = "y"):
     """h(x|y) = sum p(x,y) * [p(y) - p(x,y)] (swap axes with given='x').
 
     The product measure of pairs of draws that differ on the free axis but
     agree on the conditioning axis; equals h(x,y) - h(given axis).
     """
-    marginal = _marginal_for_axis(joint, given)
-    return _accumulate(p * (marginal(i, j) - p) for i, j, p in joint.cells())
+    return _logical_conditional(_joint_table(joint, given))
 
 
 def logical_mutual_joint(joint: JointDistribution):
@@ -314,10 +351,7 @@ def logical_mutual_joint(joint: JointDistribution):
     The chance a second draw differs in both coordinates; equals
     h(x) + h(y) - h(x,y).
     """
-    px, py = joint.marginal_x, joint.marginal_y
-    return _accumulate(
-        p * ((1 - px[i]) + (1 - py[j]) - (1 - p)) for i, j, p in joint.cells()
-    )
+    return _logical_mutual(_joint_table(joint))
 
 
 # ----------------------------------------------------------------------

@@ -4,8 +4,8 @@ The carrier is always the index set {0, .., n-1}.  A partition's information
 content lives in its dit set: the set of ordered pairs (u, v) whose endpoints
 fall in different blocks.  Complements of dit sets are exactly the equivalence
 relations, so every lattice operation (join, meet, implication, refinement)
-can be computed either on blocks or on pair relations; both routes are
-provided so they can be cross-checked.
+can be computed either on blocks or on pair relations.  Production uses the
+blocks; the relations are the specification that the suites check it against.
 
 Pair relations are stored densely as n*n-bit integers, bit ``u*n + v``
 encoding membership of (u, v).  That keeps the set algebra branch-free and

@@ -9,13 +9,14 @@ and reproduced bit-for-bit in any language.
 Unit samples are ``((x >> 11) + 1) * 2**-53``, uniform on (0, 1].  Categorical
 draws use the inverse CDF with right-closed intervals: outcome i owns
 (c_{i-1}, c_i] where c_i is the cumulative probability, so a zero-probability
-outcome owns an empty interval and is never drawn.  The final cumulative
-value is pinned to 1.0.
+outcome owns an empty interval and is never drawn.  The cumulative values
+from the last outcome with mass onward are pinned to 1.0, trailing zeros too.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import accumulate
 
 import numpy as np
 
@@ -67,13 +68,11 @@ def batch_units(seed: int, start: int, count: int) -> np.ndarray:
 
 
 def cumulative_weights(probs) -> list[float]:
-    """Cumulative sums with the final value pinned to exactly 1.0."""
-    cum: list[float] = []
-    running = 0.0
-    for p in probs:
-        running += float(p)
-        cum.append(running)
-    cum[-1] = 1.0
+    """Cumulative sums, pinned to exactly 1.0 from the last outcome with mass onward."""
+    probs = list(probs)
+    cum = list(accumulate(float(p) for p in probs))
+    last = max((i for i, p in enumerate(probs) if p > 0), default=0)
+    cum[last:] = [1.0] * (len(cum) - last)
     return cum
 
 

@@ -17,8 +17,14 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, LogentError, SizeMismatchError
-from .logical import Distribution, JointDistribution, block_probabilities
-from .partitions import Partition, join
+from .logical import (
+    Distribution,
+    JointDistribution,
+    _joint_table,
+    _partition_table,
+    block_probabilities,
+)
+from .partitions import Partition
 
 _TRANSFORM_GUARD = 1e-9
 
@@ -56,23 +62,29 @@ def shannon_entropy_partition(
     return math.fsum(float(m) * _surprisal(m, base) for m in masses if m > 0)
 
 
+def _shannon_conditional(table, base: float) -> float:
+    """sum m * log(col / m) / T over the cells with mass."""
+    cols = table.cols
+    return math.fsum(
+        float(m) * _log(float(cols[j]) / float(m), base) for _, j, m in table.cells if m > 0
+    ) / table.total
+
+
+def _shannon_mutual(table, base: float) -> float:
+    """sum m * log(m T / (row col)) / T over the cells with mass."""
+    rows, cols, total = table.rows, table.cols, table.total
+    return math.fsum(
+        float(m) * _log(float(m) * total / (float(rows[i]) * float(cols[j])), base)
+        for i, j, m in table.cells
+        if m > 0
+    ) / total
+
+
 def shannon_conditional_joint(
     joint: JointDistribution, given: str = "y", base: float = 2.0
 ) -> float:
     """H(x|y) = sum p(x,y) * log(p(y)/p(x,y)) (swap axes with given='x')."""
-    if given == "y":
-        marginal = joint.marginal_y
-        pick = lambda i, j: marginal[j]
-    elif given == "x":
-        marginal = joint.marginal_x
-        pick = lambda i, j: marginal[i]
-    else:
-        raise DomainError(f"axis selector must be 'x' or 'y', got {given!r}")
-    return math.fsum(
-        float(p) * _log(float(pick(i, j)) / float(p), base)
-        for i, j, p in joint.cells()
-        if p > 0
-    )
+    return _shannon_conditional(_joint_table(joint, given), base)
 
 
 def shannon_conditional_partition(
@@ -82,51 +94,23 @@ def shannon_conditional_partition(
 
     Equals H(p v s) - H(s).
     """
-    joined = join(p, s)  # raises on universe mismatch
-    s_index = s.block_index_of()
-    joint_masses = block_probabilities(joined, weights)
-    s_masses = block_probabilities(s, weights)
-    total = 0.0
-    for block, m in zip(joined.blocks, joint_masses):
-        if m <= 0:
-            continue
-        p_c = s_masses[s_index[block[0]]]
-        total += float(m) * _log(float(p_c) / float(m), base)
-    return total
+    return _shannon_conditional(_partition_table(p, s, weights), base)
 
 
 def shannon_mutual_joint(joint: JointDistribution, base: float = 2.0) -> float:
     """I(x,y) = sum p(x,y) * log(p(x,y) / (p(x)p(y))); zero cells contribute 0."""
-    px, py = joint.marginal_x, joint.marginal_y
-    return math.fsum(
-        float(p) * _log(float(p) / (float(px[i]) * float(py[j])), base)
-        for i, j, p in joint.cells()
-        if p > 0
-    )
+    return _shannon_mutual(_joint_table(joint), base)
 
 
 def shannon_mutual_partition(
     p: Partition, s: Partition, weights: Distribution | None = None, base: float = 2.0
 ) -> float:
     """I(p,s) = sum over nonempty B & C of p_BC * log(p_BC / (p_B p_C))."""
-    joined = join(p, s)
-    p_index = p.block_index_of()
-    s_index = s.block_index_of()
-    p_masses = block_probabilities(p, weights)
-    s_masses = block_probabilities(s, weights)
-    joint_masses = block_probabilities(joined, weights)
-    total = 0.0
-    for block, m in zip(joined.blocks, joint_masses):
-        if m <= 0:
-            continue
-        p_b = p_masses[p_index[block[0]]]
-        p_c = s_masses[s_index[block[0]]]
-        total += float(m) * _log(float(m) / (float(p_b) * float(p_c)), base)
-    return total
+    return _shannon_mutual(_partition_table(p, s, weights), base)
 
 
-def shannon_cross_entropy(p: Distribution, q: Distribution, base: float = 2.0) -> float:
-    """H(p||q) = sum p_i * log(1/q_i); inf when q lacks mass where p has it."""
+def _support_sum(p: Distribution, q: Distribution, term) -> float:
+    """sum of term(p_i, q_i) where p_i > 0; inf when q lacks mass there."""
     if len(p) != len(q):
         raise SizeMismatchError(f"distributions of length {len(p)} and {len(q)}")
     total = 0.0
@@ -135,8 +119,13 @@ def shannon_cross_entropy(p: Distribution, q: Distribution, base: float = 2.0) -
             continue
         if b <= 0:
             return math.inf
-        total += float(a) * _surprisal(b, base)
+        total += term(a, b)
     return total
+
+
+def shannon_cross_entropy(p: Distribution, q: Distribution, base: float = 2.0) -> float:
+    """H(p||q) = sum p_i * log(1/q_i); inf when q lacks mass where p has it."""
+    return _support_sum(p, q, lambda a, b: float(a) * _surprisal(b, base))
 
 
 def symmetrized_cross_entropy(p: Distribution, q: Distribution, base: float = 2.0) -> float:
@@ -145,16 +134,7 @@ def symmetrized_cross_entropy(p: Distribution, q: Distribution, base: float = 2.
 
 def kl_divergence(p: Distribution, q: Distribution, base: float = 2.0) -> float:
     """D(p||q) = sum p_i * log(p_i/q_i) >= 0, zero exactly when p = q."""
-    if len(p) != len(q):
-        raise SizeMismatchError(f"distributions of length {len(p)} and {len(q)}")
-    total = 0.0
-    for a, b in zip(p.probs, q.probs):
-        if a <= 0:
-            continue
-        if b <= 0:
-            return math.inf
-        total += float(a) * _log(float(a) / float(b), base)
-    return total
+    return _support_sum(p, q, lambda a, b: float(a) * _log(float(a) / float(b), base))
 
 
 def symmetrized_kl_divergence(p: Distribution, q: Distribution, base: float = 2.0) -> float:
@@ -200,17 +180,10 @@ def dit_bit_transform(kind: str, *inputs, base: float = 2.0) -> float:
         direct = shannon_entropy_dist(p, base)
     elif kind == "conditional":
         joint, given = inputs
-        if given == "y":
-            marg = joint.marginal_y
-            pick = lambda i, j: marg[j]
-        elif given == "x":
-            marg = joint.marginal_x
-            pick = lambda i, j: marg[i]
-        else:
-            raise DomainError(f"axis selector must be 'x' or 'y', got {given!r}")
+        table = _joint_table(joint, given)
         value = math.fsum(
-            float(p) * (_surprisal(p, base) - _surprisal(pick(i, j), base))
-            for i, j, p in joint.cells()
+            float(p) * (_surprisal(p, base) - _surprisal(table.cols[j], base))
+            for _, j, p in table.cells
             if p > 0
         )
         direct = shannon_conditional_joint(joint, given, base)

@@ -26,6 +26,7 @@ from .logical import (
     logical_mutual_joint,
     logical_mutual_partition,
     mixing_entropy,
+    product_measure,
 )
 from .partitions import (
     PairRelation,
@@ -257,12 +258,13 @@ def run_measure_suites(max_n: int) -> list[SuiteResult]:
     for n in range(2, max_n + 1):
         weights = Distribution.uniform_exact(n)
         parts = list(enumerate_partitions(n))
+        dits = [dit_set(p) for p in parts]
         entropies = [logical_entropy_partition(p, weights) for p in parts]
 
-        for p, h in zip(parts, entropies):
+        for p, d, h in zip(parts, dits, entropies):
             block_form = 1 - sum(Fraction(len(b), n) ** 2 for b in p.blocks)
-            counting = Fraction(len(dit_set(p)), n * n)
-            entropy_forms.exact(h == block_form == counting)
+            counting = Fraction(len(d), n * n)
+            entropy_forms.exact(h == block_form == counting == product_measure(d, weights))
 
         for i, p in enumerate(parts):
             for j, s in enumerate(parts):
@@ -271,8 +273,13 @@ def run_measure_suites(max_n: int) -> list[SuiteResult]:
                 h_meet = logical_entropy_partition(meet(p, s), weights)
                 m = logical_mutual_partition(p, s, weights)
                 cond = logical_conditional_partition(p, s, weights)
-                inclusion_exclusion.exact(m == h_p + h_s - h_join)
-                conditional.exact(cond == h_join - h_s)
+                # production (block masses) against the specification (dit-set measure)
+                inclusion_exclusion.exact(
+                    m == h_p + h_s - h_join == product_measure(dits[i] & dits[j], weights)
+                )
+                conditional.exact(
+                    cond == h_join - h_s == product_measure(dits[i] - dits[j], weights)
+                )
                 submodular.exact(h_meet <= h_p + h_s - h_join)
                 identification.exact(
                     (1 - h_join) - (1 - h_p) * (1 - h_s) == m - h_p * h_s
@@ -289,23 +296,14 @@ def run_measure_suites(max_n: int) -> list[SuiteResult]:
 # ----------------------------------------------------------------------
 
 
-def _lift_rows(p: Partition, ny: int) -> Partition:
-    """Lift a partition of X to X x Y (index x*ny + y) by block rows."""
-    n = p.universe.size * ny
-    blocks = tuple(
-        tuple(sorted(x * ny + y for x in block for y in range(ny)))
-        for block in p.blocks
-    )
-    return Partition(Universe(n), tuple(sorted(blocks, key=lambda b: b[0])))
+def _lift(p: Partition, copies: int, index) -> Partition:
+    """Lift a partition of one factor of X x Y to the product.
 
-
-def _lift_cols(p: Partition, nx: int) -> Partition:
-    """Lift a partition of Y to X x Y by block columns."""
-    ny = p.universe.size
-    n = nx * ny
+    Element u becomes the cells index(u, k) for the ``copies`` elements k of the other factor.
+    """
+    n = p.universe.size * copies
     blocks = tuple(
-        tuple(sorted(x * ny + y for y in block for x in range(nx)))
-        for block in p.blocks
+        tuple(sorted(index(u, k) for u in block for k in range(copies))) for block in p.blocks
     )
     return Partition(Universe(n), tuple(sorted(blocks, key=lambda b: b[0])))
 
@@ -326,8 +324,8 @@ def run_independence_suite(sizes: tuple[int, ...] = (2, 3, 4)) -> list[SuiteResu
     for nx in sizes:
         for ny in sizes:
             weights = Distribution.uniform_exact(nx * ny)
-            lifted_x = [_lift_rows(p, ny) for p in enumerate_partitions(nx)]
-            lifted_y = [_lift_cols(p, nx) for p in enumerate_partitions(ny)]
+            lifted_x = [_lift(p, ny, lambda x, y: x * ny + y) for p in enumerate_partitions(nx)]
+            lifted_y = [_lift(p, nx, lambda y, x: x * ny + y) for p in enumerate_partitions(ny)]
             hx = [logical_entropy_partition(p, weights) for p in lifted_x]
             hy = [logical_entropy_partition(p, weights) for p in lifted_y]
             for p, h_p in zip(lifted_x, hx):
@@ -386,24 +384,14 @@ def run_divergence_suite(seed: int = 2024, pairs: int = 10_000) -> list[SuiteRes
     return [t.result() for t in (nonneg, jensen, mixing, cross_sym)]
 
 
-def _brute_force_conditional(joint: JointDistribution) -> float:
-    """Product measure of pairs differing in x but matching in y, by double sum."""
+def _brute_force(joint: JointDistribution, same_y: bool) -> float:
+    """Product measure of pairs differing in x and matching (or not) in y, by double sum."""
     cells = list(joint.cells())
     return math.fsum(
         float(p1) * float(p2)
         for i1, j1, p1 in cells
         for i2, j2, p2 in cells
-        if i1 != i2 and j1 == j2
-    )
-
-
-def _brute_force_mutual(joint: JointDistribution) -> float:
-    cells = list(joint.cells())
-    return math.fsum(
-        float(p1) * float(p2)
-        for i1, j1, p1 in cells
-        for i2, j2, p2 in cells
-        if i1 != i2 and j1 != j2
+        if i1 != i2 and (j1 == j2) == same_y
     )
 
 
@@ -449,8 +437,8 @@ def run_joint_suites(seed: int = 2024, count: int = 400) -> list[SuiteResult]:
         )
 
         if k < 100:
-            pair_space.residual(cxy - _brute_force_conditional(joint))
-            pair_space.residual(m - _brute_force_mutual(joint))
+            pair_space.residual(cxy - _brute_force(joint, same_y=True))
+            pair_space.residual(m - _brute_force(joint, same_y=False))
 
         px = random_distribution(gen, nx)
         py = random_distribution(gen, ny)

@@ -1,8 +1,11 @@
 import itertools
+import json
+import math
 from fractions import Fraction
 
 import pytest
 
+from logent import cli
 from logent.errors import (
     InvalidDistanceMatrixError,
     InvalidDistributionError,
@@ -35,6 +38,12 @@ from logent.partitions import (
     join,
     make_partition,
     meet,
+    mutual_dit_set,
+)
+from logent.shannon import (
+    shannon_conditional_partition,
+    shannon_entropy_partition,
+    shannon_mutual_partition,
 )
 
 THIRDS = Distribution((Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)))
@@ -69,6 +78,15 @@ class TestDistribution:
         d = Distribution.point_mass(4, 2)
         assert d.probs == (0, 0, 1, 0)
 
+    @pytest.mark.parametrize("probs", [(math.nan, 0.5), (0.5, math.nan, 0.5), (math.nan,)])
+    def test_rejects_nan(self, probs):
+        with pytest.raises(InvalidDistributionError, match="nan"):
+            Distribution(probs)
+
+    def test_rejects_infinite(self):
+        with pytest.raises(InvalidDistributionError):
+            Distribution((math.inf, 0.5))
+
 
 class TestJointDistribution:
     def test_marginals_are_computed_sums(self):
@@ -83,6 +101,13 @@ class TestJointDistribution:
     def test_negative_rejected(self):
         with pytest.raises(InvalidDistributionError):
             JointDistribution(((1.5, -0.5),))
+
+    @pytest.mark.parametrize(
+        "rows", [((math.nan, 0.5), (0.25, 0.25)), ((0.5, 0.5), (0.0, math.nan)), ((math.inf, 0.0),)]
+    )
+    def test_non_finite_rejected(self, rows):
+        with pytest.raises(InvalidDistributionError):
+            JointDistribution(rows)
 
     def test_product_and_residual(self):
         j = JointDistribution.outer(Distribution((0.5, 0.5)), Distribution((0.25, 0.75)))
@@ -121,12 +146,66 @@ class TestPartitionEntropy:
     @pytest.mark.parametrize("n", range(1, 6))
     def test_unweighted_equals_uniform_product_measure(self, n):
         uniform = Distribution.uniform_exact(n)
-        for p in enumerate_partitions(n):
+        parts = list(enumerate_partitions(n))
+        for p in parts:
             h = logical_entropy_partition(p)
             exact = product_measure(dit_set(p), uniform)
             block_form = 1 - sum(Fraction(len(b), n) ** 2 for b in p.blocks)
             assert exact == block_form
             assert h == pytest.approx(float(exact), abs=1e-12)
+        # block masses against the counted oracle relation, bit for bit
+        for p, s in itertools.product(parts, parts):
+            assert logical_entropy_partition(p) == len(dit_set(p)) / (n * n)
+            assert logical_conditional_partition(p, s) == len(dit_set(p) - dit_set(s)) / (n * n)
+            assert logical_mutual_partition(p, s) == len(mutual_dit_set(p, s)) / (n * n)
+
+
+class TestNoPairRelationInProduction:
+    """Partition measures and the CLI run on block masses, never on a dense relation."""
+
+    @pytest.fixture(autouse=True)
+    def forbid_pair_relations(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("a production path built a PairRelation")
+
+        monkeypatch.setattr(PairRelation, "__post_init__", refuse)
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_partition_functions(self, weighted):
+        p = make_partition([{0, 1}, {2, 3, 4}, {5}], 6)
+        s = make_partition([{0, 2}, {1, 3}, {4, 5}], 6)
+        w = Distribution((0.1, 0.2, 0.3, 0.15, 0.05, 0.2)) if weighted else None
+        for fn in (logical_entropy_partition, shannon_entropy_partition):
+            assert 0 < fn(p, w)
+        for fn in (
+            logical_conditional_partition,
+            logical_mutual_partition,
+            shannon_conditional_partition,
+            shannon_mutual_partition,
+        ):
+            assert 0 < fn(p, s, w)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["entropy", "0,1|2"],
+            ["entropy", "0,1|2", "--weights", "1/2,1/4,1/4"],
+            ["ops", "join", "0,1|2,3", "0,2|1,3"],
+            ["ops", "meet", "0,1|2,3", "0,2|1,3"],
+            ["ops", "implies", "0,1|2,3", "0,1,2|3"],
+        ],
+    )
+    def test_cli(self, capsys, argv):
+        assert cli.main(argv) == 0
+        assert "dits" in json.loads(capsys.readouterr().out)["outputs"]
+
+    def test_large_partition_is_linear(self, capsys):
+        n = 20_000  # the dense relation would need n^2 = 4e8 bits
+        text = ",".join(map(str, range(n // 2))) + "|" + ",".join(map(str, range(n // 2, n)))
+        assert cli.main(["entropy", text]) == 0
+        outputs = json.loads(capsys.readouterr().out)["outputs"]
+        assert outputs["dits"] == n * n // 2
+        assert outputs["h"] == 0.5
 
 
 class TestDistributionEntropy:

@@ -13,6 +13,7 @@ from logent.logical import (
     identification_probability,
     joint_logical_entropy,
     logical_conditional_joint,
+    logical_conditional_partition,
     logical_cross_entropy,
     logical_divergence,
     logical_entropy_dist,
@@ -257,6 +258,29 @@ def test_partition_entropy_three_forms(p):
     block_form = 1 - sum(Fraction(len(b), n) ** 2 for b in p.blocks)
     assert measured == block_form
     assert abs(counting - float(measured)) < 1e-12
+
+
+@st.composite
+def weighted_partition_pairs(draw, max_n=6):
+    p, s = draw(partition_pairs(max_n=max_n))
+    raw = draw(
+        st.lists(
+            st.floats(min_value=0.0, max_value=1.0),
+            min_size=p.universe.size,
+            max_size=p.universe.size,
+        ).filter(lambda r: sum(r) > 0.01)
+    )
+    total = sum(raw)
+    return p, s, Distribution(tuple(v / total for v in raw))
+
+
+@given(weighted_partition_pairs())
+def test_float_weighted_block_masses_match_dit_set_measure(case):
+    p, s, w = case
+    dp, ds = dit_set(p), dit_set(s)
+    assert abs(logical_entropy_partition(p, w) - product_measure(dp, w)) < 1e-12
+    assert abs(logical_conditional_partition(p, s, w) - product_measure(dp - ds, w)) < 1e-12
+    assert abs(logical_mutual_partition(p, s, w) - product_measure(dp & ds, w)) < 1e-12
 
 
 @given(partition_pairs(max_n=5))

@@ -1,8 +1,10 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+import logent.rng
 from logent.errors import DomainError
 from logent.logical import Distribution, logical_entropy_dist
 from logent.rng import (
@@ -65,6 +67,21 @@ class TestGenerator:
         # a float cumsum can undershoot 1.0; the last interval must absorb u = 1.0
         cum = cumulative_weights((0.1,) * 10)
         assert cum[-1] == 1.0
+
+    # the float cumsum of these stops short of 1.0 before the trailing zeros
+    SHORT_SUMS = [(0.1,) * 10 + (0.0,), (0.3, 0.6, 0.1, 0.0, 0.0), (0.4, 0.0, 0.3, 0.2, 0.1, 0.0)]
+
+    @pytest.mark.parametrize("probs", SHORT_SUMS)
+    def test_top_draw_never_lands_on_trailing_zero(self, probs, monkeypatch):
+        cum = cumulative_weights(probs)
+        # scalar path: SplitMix64.draw_index bisects on the forced draw u = 1.0
+        monkeypatch.setattr(SplitMix64, "next_unit", lambda self: 1.0)
+        scalar = SplitMix64(0).draw_index(cum)
+        assert probs[scalar] > 0
+        # batch path: np.searchsorted on the same forced draw
+        monkeypatch.setattr(logent.rng, "batch_units", lambda seed, start, count: np.ones(count))
+        batch = batch_indices(0, 0, 3, cum)
+        assert batch.tolist() == [scalar] * 3
 
 
 class TestPairDistinctionRate:
