@@ -13,6 +13,10 @@ block-intersection masses, and one formula per quantity is evaluated over it.
 
 All functions are pure and numeric-type generic: feed them ``float`` entries
 for fast arithmetic or ``fractions.Fraction`` entries for exact arithmetic.
+On the exact path the measures run on integers: a distribution's entries are
+integer numerators over their common denominator ``D``, every partition
+measure forms one integer numerator over ``D^2``, and a single ``Fraction``
+is built per result.
 Zero-probability outcomes are kept (they contribute nothing) so indices stay
 aligned with user input and distance matrices.
 """
@@ -20,8 +24,10 @@ aligned with user input and distance matrices.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import (
@@ -52,7 +58,8 @@ class Distribution:
     Entries must be nonnegative and sum to 1 within 1e-9; a small drift is
     renormalized away on construction, anything larger is rejected.  Entries
     may be floats or Fractions; Fractions are preserved so downstream sums
-    stay exact.
+    stay exact, and an all-Fraction/int vector also carries its entries as
+    integer numerators over a common denominator, computed on first use.
     """
 
     probs: tuple
@@ -77,9 +84,23 @@ class Distribution:
     def __getitem__(self, i: int):
         return self.probs[i]
 
+    @cached_property
+    def _integers(self) -> tuple[tuple[int, ...], int] | None:
+        """(numerators, D) with p_i = numerators[i] / D over the lcm D of the denominators.
+
+        None unless every entry is a Fraction or an int: only the exact path has them.
+        """
+        if not all(isinstance(p, numbers.Rational) for p in self.probs):
+            return None
+        denominator = math.lcm(*(int(p.denominator) for p in self.probs))
+        numerators = tuple(
+            int(p.numerator) * (denominator // int(p.denominator)) for p in self.probs
+        )
+        return numerators, denominator
+
     @property
     def is_exact(self) -> bool:
-        return all(not isinstance(p, float) for p in self.probs)
+        return self._integers is not None
 
     @classmethod
     def uniform(cls, n: int) -> "Distribution":
@@ -219,6 +240,9 @@ def product_measure(relation: PairRelation, p: Distribution):
         raise SizeMismatchError(
             f"distribution of length {len(p)} for a universe of size {relation.universe.size}"
         )
+    if p.is_exact:
+        nums, denominator = p._integers
+        return Fraction(sum(nums[i] * nums[j] for i, j in relation.pairs()), denominator**2)
     probs = p.probs
     return _accumulate(probs[i] * probs[j] for i, j in relation.pairs())
 
@@ -234,22 +258,39 @@ def identification_probability(p: Distribution):
 
 
 def _masses(groups, n: int, weights: Distribution | None) -> tuple:
-    """Masses of element groups and their total T: sizes (T = n) or weight sums (T = 1)."""
+    """Masses of element groups, their total T, and whether the path is exact.
+
+    Unweighted: sizes with T = n.  Exact weights: sums of the integer
+    numerators with T = D, their common denominator.  Float weights: weight
+    sums with T = 1.
+    """
     if weights is None:
-        return [len(g) for g in groups], n
+        return [len(g) for g in groups], n, False
     if len(weights) != n:
         raise SizeMismatchError(f"weights of length {len(weights)} for a universe of size {n}")
+    if weights.is_exact:
+        nums, denominator = weights._integers
+        return [sum(nums[u] for u in g) for g in groups], denominator, True
     probs = weights.probs
-    return [_accumulate(probs[u] for u in g) for g in groups], 1
+    return [_accumulate(probs[u] for u in g) for g in groups], 1, False
+
+
+def _ratio(numerator, denominator, exact: bool):
+    """numerator / denominator: one Fraction on the exact path, plain division otherwise."""
+    return Fraction(numerator, denominator) if exact else numerator / denominator
 
 
 class _MassTable(NamedTuple):
-    """Cells (i, j, mass), row and column sums, and total T; conditioning is on columns j."""
+    """Cells (i, j, mass), row and column sums, and total T; conditioning is on columns j.
+
+    ``exact`` marks integer masses over T = D from exact weights.
+    """
 
     cells: list
     rows: tuple
     cols: tuple
     total: object
+    exact: bool = False
 
 
 def _partition_table(p: Partition, s: Partition, weights: Distribution | None) -> _MassTable:
@@ -259,13 +300,15 @@ def _partition_table(p: Partition, s: Partition, weights: Distribution | None) -
     groups: dict[tuple[int, int], list[int]] = {}
     for u in range(len(p_index)):
         groups.setdefault((p_index[u], s_index[u]), []).append(u)
-    masses, total = _masses(groups.values(), len(p_index), weights)
+    masses, total, exact = _masses(groups.values(), len(p_index), weights)
     cells = [(i, j, m) for (i, j), m in zip(groups, masses)]
     rows, cols = [[] for _ in p.blocks], [[] for _ in s.blocks]
     for i, j, m in cells:
         rows[i].append(m)
         cols[j].append(m)
-    return _MassTable(cells, tuple(map(_accumulate, rows)), tuple(map(_accumulate, cols)), total)
+    return _MassTable(
+        cells, tuple(map(_accumulate, rows)), tuple(map(_accumulate, cols)), total, exact
+    )
 
 
 def _joint_table(joint: JointDistribution, given: str = "y") -> _MassTable:
@@ -281,7 +324,8 @@ def _joint_table(joint: JointDistribution, given: str = "y") -> _MassTable:
 def _logical_conditional(table: _MassTable):
     """sum m * (col - m) / T^2: pairs that differ in the row but share the column."""
     cols, total = table.cols, table.total
-    return _accumulate(m * (cols[j] - m) for _, j, m in table.cells) / (total * total)
+    numerator = _accumulate(m * (cols[j] - m) for _, j, m in table.cells)
+    return _ratio(numerator, total * total, table.exact)
 
 
 def _logical_mutual(table: _MassTable):
@@ -289,9 +333,10 @@ def _logical_mutual(table: _MassTable):
     total = table.total
     row_rest = [total - r for r in table.rows]
     col_rest = [total - c for c in table.cols]
-    return _accumulate(
+    numerator = _accumulate(
         m * (row_rest[i] + col_rest[j] - (total - m)) for i, j, m in table.cells
-    ) / (total * total)
+    )
+    return _ratio(numerator, total * total, table.exact)
 
 
 def logical_entropy_partition(partition: Partition, weights: Distribution | None = None):
@@ -299,14 +344,14 @@ def logical_entropy_partition(partition: Partition, weights: Distribution | None
 
     That is |dit|/n^2 unweighted (T = n, m_B = |B|) and mu(dit) under weights.
     """
-    masses, total = _masses(partition.blocks, partition.universe.size, weights)
-    return (total * total - _accumulate(m * m for m in masses)) / (total * total)
+    masses, total, exact = _masses(partition.blocks, partition.universe.size, weights)
+    return _ratio(total * total - _accumulate(m * m for m in masses), total * total, exact)
 
 
 def block_probabilities(partition: Partition, weights: Distribution | None = None) -> tuple:
     """p_B for each block: the share of weight (or of elements) it carries."""
-    masses, total = _masses(partition.blocks, partition.universe.size, weights)
-    return tuple(m / total for m in masses)
+    masses, total, exact = _masses(partition.blocks, partition.universe.size, weights)
+    return tuple(_ratio(m, total, exact) for m in masses)
 
 
 def logical_conditional_partition(

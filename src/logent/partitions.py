@@ -10,6 +10,13 @@ blocks; the relations are the specification that the suites check it against.
 Pair relations are stored densely as n*n-bit integers, bit ``u*n + v``
 encoding membership of (u, v).  That keeps the set algebra branch-free and
 exact, and for the default cap of n <= 12 a relation fits in 144 bits.
+Being the specification only, a relation is refused above
+``DENSE_RELATION_LIMIT`` elements instead of growing quadratically.
+
+Public constructors (``Partition(...)``, :func:`make_partition`,
+:func:`partition_from_equivalence`) validate their input.  The internal
+producers (enumeration, join, meet, implication, the discrete and indiscrete
+partitions) emit canonical blocks by construction and skip that check.
 """
 
 from __future__ import annotations
@@ -26,6 +33,14 @@ from .errors import (
 )
 
 DEFAULT_ENUMERATION_LIMIT = 12
+DENSE_RELATION_LIMIT = 64  # largest n for a dense pair relation: 4,096 bits
+
+
+def _check_dense(n: int) -> None:
+    if n > DENSE_RELATION_LIMIT:
+        raise LimitExceededError(
+            f"a dense pair relation on {n} elements exceeds the cap of {DENSE_RELATION_LIMIT}"
+        )
 
 
 @dataclass(frozen=True)
@@ -59,6 +74,7 @@ class PairRelation:
 
     def __post_init__(self) -> None:
         n = self.universe.size
+        _check_dense(n)
         if self.bits < 0 or self.bits >> (n * n):
             raise DomainError("relation bits fall outside the universe's pair grid")
 
@@ -213,9 +229,11 @@ class Partition:
     """A partition of {0, .., n-1} in canonical form.
 
     Canonical form: elements ascend within each block, and blocks are ordered
-    by their least element.  Construction through :func:`make_partition`
-    canonicalizes arbitrary block collections; the invariants are re-checked
-    here so that equality of values is exactly equality of partitions.
+    by their least element, so equality of values is exactly equality of
+    partitions.  ``Partition(universe, blocks)`` checks that form and
+    :func:`make_partition` canonicalizes arbitrary block collections; the
+    library's own producers build canonical blocks and go through
+    :meth:`_trusted`, which skips the check.
     """
 
     universe: Universe
@@ -242,6 +260,14 @@ class Partition:
         if len(seen) != n:
             missing = min(set(range(n)) - seen)
             raise InvalidPartitionError(f"element {missing} not covered by any block")
+
+    @classmethod
+    def _trusted(cls, universe: Universe, blocks: tuple[tuple[int, ...], ...]) -> "Partition":
+        """A partition from blocks already in canonical form, without re-checking them."""
+        partition = object.__new__(cls)
+        object.__setattr__(partition, "universe", universe)
+        object.__setattr__(partition, "blocks", blocks)
+        return partition
 
     @property
     def n_blocks(self) -> int:
@@ -300,17 +326,17 @@ def make_partition(blocks: Iterable[Iterable[int]], n: int) -> Partition:
         missing = min(set(range(n)) - seen)
         raise InvalidPartitionError(f"element {missing} not covered by any block")
     normalized.sort(key=lambda b: b[0])
-    return Partition(universe, tuple(normalized))
+    return Partition._trusted(universe, tuple(normalized))
 
 
 def discrete_partition(n: int) -> Partition:
     """All singletons: the top of the refinement order."""
-    return Partition(Universe(n), tuple((u,) for u in range(n)))
+    return Partition._trusted(Universe(n), tuple((u,) for u in range(n)))
 
 
 def indiscrete_partition(n: int) -> Partition:
     """One block: the bottom of the refinement order."""
-    return Partition(Universe(n), (tuple(range(n)),))
+    return Partition._trusted(Universe(n), (tuple(range(n)),))
 
 
 def _check_same_universe(p: Partition, s: Partition) -> Universe:
@@ -332,6 +358,7 @@ def indit_set(partition: Partition) -> PairRelation:
     Always an equivalence relation.
     """
     n = partition.universe.size
+    _check_dense(n)
     bits = 0
     for mask in partition.block_masks():
         m = mask
@@ -345,6 +372,7 @@ def indit_set(partition: Partition) -> PairRelation:
 def dit_set(partition: Partition) -> PairRelation:
     """Pairs distinguished by the partition: the complement of the indit set."""
     n = partition.universe.size
+    _check_dense(n)
     full = (1 << (n * n)) - 1
     return PairRelation(partition.universe, full ^ indit_set(partition).bits, is_partition_relation=True)
 
@@ -357,24 +385,29 @@ def dit_set(partition: Partition) -> PairRelation:
 def rst_closure(relation: PairRelation) -> PairRelation:
     """Smallest equivalence relation containing the given relation.
 
-    Reflexive and symmetric closure first, then transitive closure by
-    row-propagation (Warshall) to the fixed point.
+    Its classes are the connected components of the relation read as an
+    undirected graph, grown on whole row masks: a component absorbs the row
+    (successors and the element itself) of every element whose row reaches
+    into it.
     """
     n = relation.universe.size
-    rows = [relation.row(u) | (1 << u) for u in range(n)]
-    for u in range(n):
-        m = rows[u]
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            rows[v] |= 1 << u
-    for k in range(n):
-        for u in range(n):
-            if (rows[u] >> k) & 1:
-                rows[u] |= rows[k]
+    full_row = (1 << n) - 1
+    rows = [((relation.bits >> (u * n)) & full_row) | (1 << u) for u in range(n)]
+    unplaced = full_row
     bits = 0
-    for u in range(n):
-        bits |= rows[u] << (u * n)
+    while unplaced:
+        component, previous = unplaced & -unplaced, 0
+        while component != previous:
+            previous = component
+            for row in rows:
+                if row & component:
+                    component |= row
+        unplaced &= ~component
+        m = component
+        while m:
+            u = (m & -m).bit_length() - 1
+            m &= m - 1
+            bits |= component << (u * n)
     return PairRelation(relation.universe, bits)
 
 
@@ -435,7 +468,7 @@ def join(p: Partition, s: Partition) -> Partition:
     for u in range(p.universe.size):
         groups.setdefault((pa[u], sa[u]), []).append(u)
     blocks = sorted((tuple(g) for g in groups.values()), key=lambda b: b[0])
-    return Partition(p.universe, tuple(blocks))
+    return Partition._trusted(p.universe, tuple(blocks))
 
 
 def meet(p: Partition, s: Partition) -> Partition:
@@ -465,7 +498,7 @@ def meet(p: Partition, s: Partition) -> Partition:
     for u in range(n):
         groups.setdefault(find(u), []).append(u)
     blocks = sorted((tuple(g) for g in groups.values()), key=lambda b: b[0])
-    return Partition(p.universe, tuple(blocks))
+    return Partition._trusted(p.universe, tuple(blocks))
 
 
 def implication(s: Partition, p: Partition) -> Partition:
@@ -486,7 +519,7 @@ def implication(s: Partition, p: Partition) -> Partition:
         else:
             blocks.append(block)
     blocks.sort(key=lambda b: b[0])
-    return Partition(p.universe, tuple(blocks))
+    return Partition._trusted(p.universe, tuple(blocks))
 
 
 def refines(s: Partition, p: Partition) -> bool:
@@ -556,7 +589,8 @@ def _generate_partitions(n: int) -> Iterator[Partition]:
         groups: dict[int, list[int]] = {}
         for u, a in enumerate(labels):
             groups.setdefault(a, []).append(u)
-        yield Partition(universe, tuple(tuple(groups[a]) for a in sorted(groups)))
+        # a restricted-growth string meets its labels in increasing order
+        yield Partition._trusted(universe, tuple(map(tuple, groups.values())))
         j = n - 1
         while j > 0 and labels[j] == caps[j]:
             j -= 1
@@ -586,12 +620,22 @@ def lattice_cover_edges(n: int, limit: int = DEFAULT_ENUMERATION_LIMIT) -> list[
     """Cover edges of the refinement order, as index pairs into the enumeration.
 
     An edge (i, j) means partition j covers partition i: j refines i and has
-    exactly one more block (one block of i split in two).
+    exactly one more block (one block of i split in two).  Each edge is made
+    once, by splitting a block of i into a part that keeps its least element
+    and a nonempty rest; edges come sorted by (i, j).
     """
     parts = list(enumerate_partitions(n, limit=limit))
+    index = {p.blocks: k for k, p in enumerate(parts)}
     edges = []
     for i, coarser in enumerate(parts):
-        for j, finer in enumerate(parts):
-            if finer.n_blocks == coarser.n_blocks + 1 and refines(coarser, finer):
-                edges.append((i, j))
+        blocks = coarser.blocks
+        for b, block in enumerate(blocks):
+            head, rest = block[0], block[1:]
+            others = blocks[:b] + blocks[b + 1 :]
+            for mask in range(1, 1 << len(rest)):
+                moved = tuple(u for k, u in enumerate(rest) if (mask >> k) & 1)
+                kept = (head,) + tuple(u for k, u in enumerate(rest) if not (mask >> k) & 1)
+                finer = sorted(others + (kept, moved), key=lambda c: c[0])
+                edges.append((i, index[tuple(finer)]))
+    edges.sort()
     return edges

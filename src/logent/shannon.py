@@ -21,6 +21,7 @@ from .logical import (
     Distribution,
     JointDistribution,
     _joint_table,
+    _MassTable,
     _partition_table,
     block_probabilities,
 )
@@ -80,6 +81,24 @@ def _shannon_mutual(table, base: float) -> float:
     ) / total
 
 
+def _shannon_partition_table(p: Partition, s: Partition, weights: Distribution | None):
+    """The partition table with exact integer masses M over T = D read as floats M / D.
+
+    M / D is the correctly rounded value of the exact weight sum, so the
+    formulas see the same floats as from Fraction masses, and no sum divides by D.
+    """
+    table = _partition_table(p, s, weights)
+    if not table.exact:
+        return table
+    d = table.total
+    return _MassTable(
+        [(i, j, m / d) for i, j, m in table.cells],
+        tuple(r / d for r in table.rows),
+        tuple(c / d for c in table.cols),
+        1,
+    )
+
+
 def shannon_conditional_joint(
     joint: JointDistribution, given: str = "y", base: float = 2.0
 ) -> float:
@@ -94,7 +113,7 @@ def shannon_conditional_partition(
 
     Equals H(p v s) - H(s).
     """
-    return _shannon_conditional(_partition_table(p, s, weights), base)
+    return _shannon_conditional(_shannon_partition_table(p, s, weights), base)
 
 
 def shannon_mutual_joint(joint: JointDistribution, base: float = 2.0) -> float:
@@ -106,7 +125,7 @@ def shannon_mutual_partition(
     p: Partition, s: Partition, weights: Distribution | None = None, base: float = 2.0
 ) -> float:
     """I(p,s) = sum over nonempty B & C of p_BC * log(p_BC / (p_B p_C))."""
-    return _shannon_mutual(_partition_table(p, s, weights), base)
+    return _shannon_mutual(_shannon_partition_table(p, s, weights), base)
 
 
 def _support_sum(p: Distribution, q: Distribution, term) -> float:
@@ -160,6 +179,17 @@ def bit_to_dit(bits: float, base: float = 2.0) -> float:
     return -math.expm1(-bits * math.log(base))
 
 
+def _substitute(terms, base: float) -> float:
+    """Map each logical term w * (1 - x) to w * log(1/x) and sum the images.
+
+    Terms with w = 0 drop out (0 * log(1/0) = 0); x = 0 with w != 0 makes
+    the sum infinite.
+    """
+    return math.fsum(
+        float(w) * (_surprisal(x, base) if x > 0 else math.inf) for w, x in terms if w != 0
+    )
+
+
 def dit_bit_transform(kind: str, *inputs, base: float = 2.0) -> float:
     """Termwise substitution log(1/p) for (1-p) in a logical compound formula.
 
@@ -171,46 +201,46 @@ def dit_bit_transform(kind: str, *inputs, base: float = 2.0) -> float:
     - ``cross``       (p, q)         -> H(p||q)
     - ``divergence``  (p, q)         -> symmetrized KL divergence
 
-    The substituted sum is checked against the directly computed Shannon
+    Each kind lists the terms (w, x) of its logical formula sum w * (1 - x);
+    the substituted sum is checked against the directly computed Shannon
     quantity before being returned.
     """
     if kind == "entropy":
         (p,) = inputs
-        value = math.fsum(float(a) * _surprisal(a, base) for a in p.probs if a > 0)
         direct = shannon_entropy_dist(p, base)
+        # h(p) = sum p (1 - p)
+        terms = [(a, a) for a in p.probs]
     elif kind == "conditional":
         joint, given = inputs
-        table = _joint_table(joint, given)
-        value = math.fsum(
-            float(p) * (_surprisal(p, base) - _surprisal(table.cols[j], base))
-            for _, j, p in table.cells
-            if p > 0
-        )
         direct = shannon_conditional_joint(joint, given, base)
+        table = _joint_table(joint, given)
+        # h(x|y) = sum p [(1 - p) - (1 - p_y)]
+        terms = [t for _, j, m in table.cells for t in ((m, m), (-m, table.cols[j]))]
     elif kind == "mutual":
         (joint,) = inputs
-        px, py = joint.marginal_x, joint.marginal_y
-        value = math.fsum(
-            float(p)
-            * (_surprisal(px[i], base) + _surprisal(py[j], base) - _surprisal(p, base))
-            for i, j, p in joint.cells()
-            if p > 0
-        )
         direct = shannon_mutual_joint(joint, base)
+        table = _joint_table(joint)
+        # m(x,y) = sum p [(1 - p_x) + (1 - p_y) - (1 - p)]
+        terms = [
+            t for i, j, m in table.cells for t in ((m, table.rows[i]), (m, table.cols[j]), (-m, m))
+        ]
     elif kind == "cross":
         p, q = inputs
-        value = shannon_cross_entropy(p, q, base)
-        direct = value
+        direct = shannon_cross_entropy(p, q, base)
+        # h(p||q) = sum p (1 - q)
+        terms = list(zip(p.probs, q.probs))
     elif kind == "divergence":
         p, q = inputs
-        cross_part = (
-            shannon_cross_entropy(p, q, base) + shannon_cross_entropy(q, p, base)
-        ) / 2
-        entropy_part = (shannon_entropy_dist(p, base) + shannon_entropy_dist(q, base)) / 2
-        value = cross_part - entropy_part
         direct = symmetrized_kl_divergence(p, q, base)
+        # d(p||q) = [h(p||q) + h(q||p)] / 2 - [h(p) + h(q)] / 2
+        terms = [
+            t
+            for a, b in zip(p.probs, q.probs)
+            for t in ((a / 2, b), (b / 2, a), (-a / 2, a), (-b / 2, b))
+        ]
     else:
         raise DomainError(f"unknown transform selector {kind!r}")
+    value = _substitute(terms, base)
     if math.isinf(value) or math.isinf(direct):
         if value != direct:
             raise LogentError(f"transform of {kind!r} disagrees with the direct value")

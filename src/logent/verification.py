@@ -155,6 +155,13 @@ def run_lattice_suites(max_n: int) -> list[SuiteResult]:
         discrete = parts[-1]
         dits = [dit_set(p) for p in parts]
         indits = [indit_set(p) for p in parts]
+        # Lattice results are looked up by their blocks: a result that is not a
+        # canonical enumerated partition fails its check instead of matching.
+        index = {p.blocks: k for k, p in enumerate(parts)}
+
+        def dit_bits(partition: Partition) -> int | None:
+            k = index.get(partition.blocks)
+            return None if k is None else dits[k].bits
 
         for p, d, e in zip(parts, dits, indits):
             relation_laws.exact(
@@ -170,23 +177,20 @@ def run_lattice_suites(max_n: int) -> list[SuiteResult]:
 
         for i, p in enumerate(parts):
             for j, s in enumerate(parts):
-                joined = join(p, s)
-                join_union.exact(dit_set(joined).bits == (dits[i].bits | dits[j].bits))
+                join_union.exact(dit_bits(join(p, s)) == (dits[i].bits | dits[j].bits))
 
                 met = meet(p, s)
                 interior_bits = interior(dits[i] & dits[j]).bits
-                meet_interior.exact(dit_set(met).bits == interior_bits)
+                meet_interior.exact(dit_bits(met) == interior_bits)
                 meet_closure.exact(
                     met == partition_from_equivalence(rst_closure(indits[i] | indits[j]))
                 )
 
                 arrow = implication(s, p)
                 formula_bits = interior(dits[j].complement() | dits[i]).bits
-                impl_formula.exact(dit_set(arrow).bits == formula_bits)
+                impl_formula.exact(dit_bits(arrow) == formula_bits)
                 refine_equiv.exact(
-                    refines(s, p)
-                    == dits[j].issubset(dits[i])
-                    == (implication(s, p) == discrete)
+                    refines(s, p) == dits[j].issubset(dits[i]) == (arrow == discrete)
                 )
 
                 mut = mutual_dit_set(p, s)
@@ -305,7 +309,7 @@ def _lift(p: Partition, copies: int, index) -> Partition:
     blocks = tuple(
         tuple(sorted(index(u, k) for u in block for k in range(copies))) for block in p.blocks
     )
-    return Partition(Universe(n), tuple(sorted(blocks, key=lambda b: b[0])))
+    return Partition._trusted(Universe(n), tuple(sorted(blocks, key=lambda b: b[0])))
 
 
 def run_independence_suite(sizes: tuple[int, ...] = (2, 3, 4)) -> list[SuiteResult]:

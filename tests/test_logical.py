@@ -160,6 +160,37 @@ class TestPartitionEntropy:
             assert logical_mutual_partition(p, s) == len(mutual_dit_set(p, s)) / (n * n)
 
 
+class TestMeasureReturnType:
+    """Exact weights give Fractions, float weights floats, no weights counts over n^2."""
+
+    P = make_partition([{0, 1}, {2, 3}, {4}], 5)
+    S = make_partition([{0, 2, 4}, {1, 3}], 5)
+
+    @pytest.mark.parametrize(
+        "weights, kind",
+        [
+            (Distribution.uniform_exact(5), Fraction),
+            (Distribution(tuple(map(Fraction, ("1/3", "1/6", "1/4", "0", "1/4")))), Fraction),
+            (Distribution.point_mass(5, 2), Fraction),
+            (Distribution((0.1, 0.2, 0.3, 0.15, 0.25)), float),
+            (None, float),
+        ],
+    )
+    def test_partition_measures(self, weights, kind):
+        p, s = self.P, self.S
+        cases = [
+            (logical_entropy_partition(p, weights), dit_set(p)),
+            (logical_conditional_partition(p, s, weights), dit_set(p) - dit_set(s)),
+            (logical_mutual_partition(p, s, weights), mutual_dit_set(p, s)),
+        ]
+        for value, oracle in cases:
+            assert type(value) is kind
+            if weights is None:
+                assert value == len(oracle) / 25  # bit for bit
+            elif kind is Fraction:
+                assert value == product_measure(oracle, weights)
+
+
 class TestNoPairRelationInProduction:
     """Partition measures and the CLI run on block masses, never on a dense relation."""
 

@@ -11,6 +11,7 @@ from logent.errors import (
     SizeMismatchError,
 )
 from logent.partitions import (
+    DENSE_RELATION_LIMIT,
     PairRelation,
     Partition,
     Universe,
@@ -114,6 +115,61 @@ class TestMakePartition:
     def test_universe_requires_positive_size(self):
         with pytest.raises(DomainError):
             Universe(0)
+
+    def test_non_integer_element_rejected(self):
+        with pytest.raises(InvalidPartitionError, match="integer index"):
+            make_partition([{0, 1.5}, {2}], 3)
+
+
+class TestPartitionConstructor:
+    """The public constructor validates; only the library's own producers skip the checks."""
+
+    @pytest.mark.parametrize(
+        "blocks, message",
+        [
+            (((0, 1), ()), "empty block"),
+            (((1, 0), (2,)), "ascending"),
+            (((2,), (0, 1)), "least element"),
+            (((0, 1), (2, 3)), "outside universe"),
+            (((0, 2), (1, 2)), "more than one block"),
+            (((0, 1),), "not covered"),
+        ],
+    )
+    def test_malformed_blocks_rejected(self, blocks, message):
+        with pytest.raises(InvalidPartitionError, match=message):
+            Partition(Universe(3), blocks)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_enumeration_emits_validated_partitions(self, n):
+        for p in enumerate_partitions(n):
+            assert Partition(p.universe, p.blocks) == p
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_discrete_and_indiscrete_are_valid(self, n):
+        for p in (discrete_partition(n), indiscrete_partition(n)):
+            assert Partition(p.universe, p.blocks) == p
+
+
+class TestDenseRelationGuard:
+    """The dense relation is the specification only; a large universe fails fast."""
+
+    def test_dit_and_indit_sets_refuse_large_partitions(self):
+        p = make_partition([range(5_000), range(5_000, 10_000)], 10_000)
+        for build in (dit_set, indit_set):
+            with pytest.raises(LimitExceededError, match="dense pair relation"):
+                build(p)
+
+    def test_relation_constructors_refuse_past_the_cap(self):
+        n = DENSE_RELATION_LIMIT + 1
+        with pytest.raises(LimitExceededError):
+            PairRelation(Universe(n), 0)
+        with pytest.raises(LimitExceededError):
+            PairRelation.full(n)
+
+    def test_cap_itself_is_allowed(self):
+        n = DENSE_RELATION_LIMIT
+        assert len(dit_set(discrete_partition(n))) == n * n - n
+        assert len(indit_set(discrete_partition(n))) == n
 
 
 class TestPairRelationBasics:
@@ -422,6 +478,20 @@ class TestEnumeration:
                 if not strictly_between:
                     expected.append((i, j))
         assert sorted(lattice_cover_edges(4)) == sorted(expected)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_cover_edges_equal_all_pairs_scan(self, n):
+        parts = list(enumerate_partitions(n))
+        scan = [
+            (i, j)
+            for i, coarser in enumerate(parts)
+            for j, finer in enumerate(parts)
+            if finer.n_blocks == coarser.n_blocks + 1 and refines(coarser, finer)
+        ]
+        assert lattice_cover_edges(n) == scan
+
+    def test_cover_edges_at_nine(self):
+        assert len(lattice_cover_edges(9)) == 175_896
 
 
 # ----------------------------------------------------------------------

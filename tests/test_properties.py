@@ -10,6 +10,7 @@ from logent.logical import (
     DistanceMatrix,
     Distribution,
     JointDistribution,
+    block_probabilities,
     identification_probability,
     joint_logical_entropy,
     logical_conditional_joint,
@@ -26,8 +27,10 @@ from logent.logical import (
 )
 from logent.partitions import (
     PairRelation,
+    Partition,
     Universe,
     dit_set,
+    implication,
     indit_set,
     interior,
     join,
@@ -166,6 +169,14 @@ def test_mutual_structure_theorem(pair):
 
 
 @given(partition_pairs())
+def test_lattice_operations_emit_validated_partitions(pair):
+    """join, meet and implication skip validation, so their blocks must already be canonical."""
+    p, s = pair
+    for x in (join(p, s), meet(p, s), implication(s, p), implication(p, s)):
+        assert Partition(x.universe, x.blocks) == x
+
+
+@given(partition_pairs())
 def test_absorption_laws(pair):
     p, s = pair
     assert join(p, meet(p, s)) == p
@@ -281,6 +292,36 @@ def test_float_weighted_block_masses_match_dit_set_measure(case):
     assert abs(logical_entropy_partition(p, w) - product_measure(dp, w)) < 1e-12
     assert abs(logical_conditional_partition(p, s, w) - product_measure(dp - ds, w)) < 1e-12
     assert abs(logical_mutual_partition(p, s, w) - product_measure(dp & ds, w)) < 1e-12
+
+
+@st.composite
+def exact_weighted_partition_pairs(draw, max_n=6):
+    """Partition pairs under Fraction weights with unlike random denominators."""
+    p, s = draw(partition_pairs(max_n=max_n))
+    raw = draw(
+        st.lists(
+            st.fractions(min_value=0, max_value=1, max_denominator=97),
+            min_size=p.universe.size,
+            max_size=p.universe.size,
+        ).filter(lambda r: sum(r) > 0)
+    )
+    total = sum(raw)
+    return p, s, Distribution(tuple(v / total for v in raw))
+
+
+@given(exact_weighted_partition_pairs())
+def test_exact_weighted_block_masses_equal_dit_set_measure(case):
+    p, s, w = case
+    dp, ds = dit_set(p), dit_set(s)
+    for value, relation in (
+        (logical_entropy_partition(p, w), dp),
+        (logical_conditional_partition(p, s, w), dp - ds),
+        (logical_mutual_partition(p, s, w), dp & ds),
+    ):
+        assert isinstance(value, Fraction)
+        assert value == product_measure(relation, w)
+        assert value == sum((w[i] * w[j] for i, j in relation.pairs()), Fraction(0))
+    assert sum(block_probabilities(p, w)) == 1
 
 
 @given(partition_pairs(max_n=5))

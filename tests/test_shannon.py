@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from logent.errors import DomainError, SizeMismatchError
+from logent import shannon
+from logent.errors import DomainError, LogentError, SizeMismatchError
 from logent.logical import Distribution, JointDistribution
 from logent.partitions import (
     discrete_partition,
@@ -31,6 +32,8 @@ from logent.shannon import (
 
 HALF_QUARTERS = Distribution((0.5, 0.25, 0.25))
 SKEWED = Distribution((0.25, 0.75))
+FIFTHS = Distribution((0.2, 0.3, 0.5))
+ZERO_CELL_JOINT = JointDistribution(((0.25, 0.25), (0.5, 0.0)))
 
 
 def log_factorial_oracle(m):
@@ -292,6 +295,23 @@ class TestDitBitTransform:
     def test_unknown_selector(self):
         with pytest.raises(DomainError, match="selector"):
             dit_bit_transform("nonsense", HALF_QUARTERS)
+
+    @pytest.mark.parametrize(
+        "kind, direct, inputs",
+        [
+            ("entropy", "shannon_entropy_dist", (HALF_QUARTERS,)),
+            ("cross", "shannon_cross_entropy", (HALF_QUARTERS, FIFTHS)),
+            ("divergence", "symmetrized_kl_divergence", (HALF_QUARTERS, FIFTHS)),
+            ("conditional", "shannon_conditional_joint", (ZERO_CELL_JOINT, "y")),
+            ("mutual", "shannon_mutual_joint", (ZERO_CELL_JOINT,)),
+        ],
+    )
+    def test_substitution_is_checked_against_direct_value(self, monkeypatch, kind, direct, inputs):
+        """A wrong direct value must be caught: the substituted sum is computed separately."""
+        honest = getattr(shannon, direct)
+        monkeypatch.setattr(shannon, direct, lambda *a, **k: honest(*a, **k) + 0.25)
+        with pytest.raises(LogentError, match="drifted"):
+            dit_bit_transform(kind, *inputs)
 
 
 class TestStirling:
