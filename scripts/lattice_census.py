@@ -1,15 +1,13 @@
 #!/usr/bin/env python3
-"""Census of small partition lattices and timing of the exhaustive sweeps."""
+"""Census of small partition lattices: Bell numbers, cover edges, ordered pairs."""
 
 import argparse
 import sys
-import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from logent.partitions import bell_number, lattice_cover_edges
-from logent.verification import run_lattice_suites, run_measure_suites
 
 
 def main() -> None:
@@ -22,19 +20,6 @@ def main() -> None:
         bell = bell_number(n)
         edges = len(lattice_cover_edges(n))
         print(f"{n:>3} {bell:>12d} {edges:>12d} {bell * bell:>14d}")
-
-    print("\nexhaustive identity sweeps")
-    start = time.monotonic()
-    lattice = run_lattice_suites(min(args.max_n, 6))
-    mid = time.monotonic()
-    measures = run_measure_suites(min(args.max_n, 6))
-    end = time.monotonic()
-    checks = sum(s.checks for s in lattice)
-    print(f"set identities:     {checks:>8d} checks, all pass: "
-          f"{all(s.passed for s in lattice)}, {mid - start:.2f}s")
-    checks = sum(s.checks for s in measures)
-    print(f"measure identities: {checks:>8d} checks, all pass: "
-          f"{all(s.passed for s in measures)}, {end - mid:.2f}s")
 
 
 if __name__ == "__main__":

@@ -65,10 +65,10 @@ PROBABILITY = "dimensionless"
 class CommandResult:
     command: str
     inputs: dict
-    outputs: dict
-    units: dict
+    outputs: dict  # key -> (value, unit)
     residuals: dict = field(default_factory=dict)
     exit_code: int = 0
+    extra_units: dict = field(default_factory=dict)  # units listed with no output beside them
 
 
 def _read_text(arg: str) -> str:
@@ -96,11 +96,12 @@ def _jsonable(value):
 
 
 def _emit(result: CommandResult, pretty: bool) -> None:
+    units = {key: unit for key, (_, unit) in result.outputs.items()}
     payload = {
         "command": result.command,
         "inputs": _jsonable(result.inputs),
-        "outputs": _jsonable(result.outputs),
-        "units": result.units,
+        "outputs": _jsonable({key: value for key, (value, _) in result.outputs.items()}),
+        "units": {**units, **result.extra_units},
         "residuals": _jsonable(result.residuals),
     }
     if pretty:
@@ -114,9 +115,7 @@ def _emit(result: CommandResult, pretty: bool) -> None:
                         f"failures={suite['failures']:<3d} worst={suite['worst_residual']:.3g}"
                     )
                 continue
-            unit = result.units.get(key, "")
-            suffix = f"  [{unit}]" if unit else ""
-            print(f"{key:32s} {value!s:>24s}{suffix}")
+            print(f"{key:32s} {value!s:>24s}  [{units[key]}]")
         if payload["residuals"]:
             print("# residuals")
             for key, value in payload["residuals"].items():
@@ -158,7 +157,6 @@ def _dit_count(partition) -> int:
 def _cmd_entropy(args) -> CommandResult:
     text = _read_text(args.input).strip()
     base = _base_of(args)
-    unit = _bit_unit(args)
     kind = args.kind
     if kind == "auto":
         kind = "partition" if "|" in text else "dist"
@@ -180,27 +178,19 @@ def _cmd_entropy(args) -> CommandResult:
     bits_from_h = dit_to_bit(float(h))
     dits_from_bits = bit_to_dit(_to_bits(capital_h, base))
     outputs = {
-        "h": h,
-        "H": capital_h,
-        "identification_probability": 1 - h,
-        "bits_from_h": bits_from_h,
-        "dits_from_H": dits_from_bits,
-    }
-    units = {
-        "h": PROBABILITY,
-        "H": unit,
-        "identification_probability": PROBABILITY,
-        "bits_from_h": "bits",
-        "dits_from_H": PROBABILITY,
+        "h": (h, PROBABILITY),
+        "H": (capital_h, _bit_unit(args)),
+        "identification_probability": (1 - h, PROBABILITY),
+        "bits_from_h": (bits_from_h, "bits"),
+        "dits_from_H": (dits_from_bits, PROBABILITY),
     }
     if dits is not None:
-        outputs["dits"] = dits
-        units["dits"] = "count"
+        outputs["dits"] = (dits, "count")
     residuals = {
         "dit_bit_roundtrip_h": abs(bit_to_dit(bits_from_h) - float(h)),
         "bit_dit_roundtrip_H": abs(dit_to_bit(dits_from_bits) - _to_bits(capital_h, base)),
     }
-    return CommandResult("entropy", inputs, outputs, units, residuals)
+    return CommandResult("entropy", inputs, outputs, residuals)
 
 
 def _to_bits(value: float, base: float) -> float:
@@ -225,22 +215,20 @@ def _cmd_joint(args) -> CommandResult:
     capital_h_yx = shannon_conditional_joint(joint, "x", base)
     mutual = shannon_mutual_joint(joint, base)
     outputs = {
-        "h_x": h_x,
-        "h_y": h_y,
-        "h_xy": h_xy,
-        "h_x_given_y": h_x_given_y,
-        "h_y_given_x": h_y_given_x,
-        "m_xy": m,
-        "H_x": capital_hx,
-        "H_y": capital_hy,
-        "H_xy": capital_hxy,
-        "H_x_given_y": capital_h_xy,
-        "H_y_given_x": capital_h_yx,
-        "I_xy": mutual,
-        "independence_residual": joint.independence_residual(),
+        "h_x": (h_x, PROBABILITY),
+        "h_y": (h_y, PROBABILITY),
+        "h_xy": (h_xy, PROBABILITY),
+        "h_x_given_y": (h_x_given_y, PROBABILITY),
+        "h_y_given_x": (h_y_given_x, PROBABILITY),
+        "m_xy": (m, PROBABILITY),
+        "H_x": (capital_hx, unit),
+        "H_y": (capital_hy, unit),
+        "H_xy": (capital_hxy, unit),
+        "H_x_given_y": (capital_h_xy, unit),
+        "H_y_given_x": (capital_h_yx, unit),
+        "I_xy": (mutual, unit),
+        "independence_residual": (joint.independence_residual(), PROBABILITY),
     }
-    units = {k: (unit if k[0] in "HI" else PROBABILITY) for k in outputs}
-    units["independence_residual"] = PROBABILITY
     residuals = {
         "h_conditional_venn": abs(float(h_x_given_y - (h_xy - h_y))),
         "h_mutual_venn": abs(float(m - (h_x + h_y - h_xy))),
@@ -255,7 +243,7 @@ def _cmd_joint(args) -> CommandResult:
         ),
     }
     return CommandResult(
-        "joint", {"matrix": [list(r) for r in joint.rows]}, outputs, units, residuals
+        "joint", {"matrix": [list(r) for r in joint.rows]}, outputs, residuals
     )
 
 
@@ -268,27 +256,19 @@ def _cmd_ops(args) -> CommandResult:
         result = meet(first, second)
     else:  # implies: blocks of the first inside a block of the second go discrete
         result = implication(second, first)
-    base = _base_of(args)
     outputs = {
-        "partition": formats.format_partition(result),
-        "dits": _dit_count(result),
-        "h": logical_entropy_partition(result),
-        "H": shannon_entropy_partition(result, None, base),
-        "blocks": result.n_blocks,
-    }
-    units = {
-        "partition": "partition",
-        "dits": "count",
-        "h": PROBABILITY,
-        "H": _bit_unit(args),
-        "blocks": "count",
+        "partition": (formats.format_partition(result), "partition"),
+        "dits": (_dit_count(result), "count"),
+        "h": (logical_entropy_partition(result), PROBABILITY),
+        "H": (shannon_entropy_partition(result, None, _base_of(args)), _bit_unit(args)),
+        "blocks": (result.n_blocks, "count"),
     }
     inputs = {
         "operation": args.operation,
         "first": formats.format_partition(first),
         "second": formats.format_partition(second),
     }
-    return CommandResult("ops", inputs, outputs, units)
+    return CommandResult("ops", inputs, outputs)
 
 
 def _cmd_compare(args) -> CommandResult:
@@ -299,39 +279,29 @@ def _cmd_compare(args) -> CommandResult:
     report = mixing_entropy(p, q)
     d = logical_divergence(p, q)
     outputs = {
-        "h_cross": report.cross,
-        "H_pq": shannon_cross_entropy(p, q, base),
-        "H_qp": shannon_cross_entropy(q, p, base),
-        "H_sym": symmetrized_cross_entropy(p, q, base),
-        "D_pq": kl_divergence(p, q, base),
-        "D_qp": kl_divergence(q, p, base),
-        "D_sym": symmetrized_kl_divergence(p, q, base),
-        "d": d,
-        "h_mixture": report.h_mix,
-        "mean_h": report.mean_h,
-        "chain_cross_ge_mixture": bool(float(report.cross) >= float(report.h_mix) - 1e-12),
-        "chain_mixture_ge_mean": bool(float(report.h_mix) >= float(report.mean_h) - 1e-12),
-    }
-    units = {
-        "h_cross": PROBABILITY,
-        "H_pq": unit,
-        "H_qp": unit,
-        "H_sym": unit,
-        "D_pq": unit,
-        "D_qp": unit,
-        "D_sym": unit,
-        "d": PROBABILITY,
-        "h_mixture": PROBABILITY,
-        "mean_h": PROBABILITY,
-        "chain_cross_ge_mixture": "boolean",
-        "chain_mixture_ge_mean": "boolean",
+        "h_cross": (report.cross, PROBABILITY),
+        "H_pq": (shannon_cross_entropy(p, q, base), unit),
+        "H_qp": (shannon_cross_entropy(q, p, base), unit),
+        "H_sym": (symmetrized_cross_entropy(p, q, base), unit),
+        "D_pq": (kl_divergence(p, q, base), unit),
+        "D_qp": (kl_divergence(q, p, base), unit),
+        "D_sym": (symmetrized_kl_divergence(p, q, base), unit),
+        "d": (d, PROBABILITY),
+        "h_mixture": (report.h_mix, PROBABILITY),
+        "mean_h": (report.mean_h, PROBABILITY),
+        "chain_cross_ge_mixture": (
+            bool(float(report.cross) >= float(report.h_mix) - 1e-12), "boolean"
+        ),
+        "chain_mixture_ge_mean": (
+            bool(float(report.h_mix) >= float(report.mean_h) - 1e-12), "boolean"
+        ),
     }
     residuals = {
         "jensen_difference": abs(float(d - (report.cross - report.mean_h))),
         "mixture_identity": abs(float(report.h_mix - report.cross / 2 - report.mean_h / 2)),
     }
     inputs = {"p": formats.format_distribution(p), "q": formats.format_distribution(q)}
-    return CommandResult("compare", inputs, outputs, units, residuals)
+    return CommandResult("compare", inputs, outputs, residuals)
 
 
 def _cmd_verify(args) -> CommandResult:
@@ -339,41 +309,35 @@ def _cmd_verify(args) -> CommandResult:
         raise LimitExceededError(f"verify sweeps support 2 <= max-n <= 6, got {args.max_n}")
     suites = run_all(max_n=args.max_n, seed=args.seed)
     failures = [s.name for s in suites if not s.passed]
+    report = [
+        {
+            "name": s.name,
+            "checks": s.checks,
+            "failures": s.failures,
+            "worst_residual": s.worst_residual,
+            "passed": s.passed,
+        }
+        for s in suites
+    ]
     outputs = {
-        "suites": [
-            {
-                "name": s.name,
-                "checks": s.checks,
-                "failures": s.failures,
-                "worst_residual": s.worst_residual,
-                "passed": s.passed,
-            }
-            for s in suites
-        ],
-        "all_passed": not failures,
-        "failed_suites": failures,
+        "suites": (report, "report"),
+        "all_passed": (not failures, "boolean"),
+        "failed_suites": (failures, "names"),
     }
-    units = {"suites": "report", "all_passed": "boolean", "failed_suites": "names"}
     inputs = {"max_n": args.max_n, "seed": args.seed}
-    return CommandResult(
-        "verify", inputs, outputs, units, exit_code=0 if not failures else 2
-    )
+    return CommandResult("verify", inputs, outputs, exit_code=0 if not failures else 2)
 
 
 def _cmd_lattice(args) -> CommandResult:
     if not 1 <= args.n <= 12:
         raise LimitExceededError(f"lattice summaries support 1 <= n <= 12, got {args.n}")
-    outputs: dict = {"bell_count": bell_number(args.n)}
-    units = {"bell_count": "count"}
+    outputs: dict = {"bell_count": (bell_number(args.n), "count")}
     if args.n <= 6:
-        parts = [p for p in enumerate_partitions(args.n)]
+        parts = list(enumerate_partitions(args.n))
         edges = lattice_cover_edges(args.n)
-        outputs["partitions"] = [formats.format_partition(p) for p in parts]
-        outputs["cover_edges"] = [list(e) for e in edges]
-        outputs["cover_edge_count"] = len(edges)
-        units.update(
-            {"partitions": "partition", "cover_edges": "index pairs", "cover_edge_count": "count"}
-        )
+        outputs["partitions"] = ([formats.format_partition(p) for p in parts], "partition")
+        outputs["cover_edges"] = ([list(e) for e in edges], "index pairs")
+        outputs["cover_edge_count"] = (len(edges), "count")
         if args.dot:
             lines = ["digraph refinement {"]
             for i, p in enumerate(parts):
@@ -381,9 +345,8 @@ def _cmd_lattice(args) -> CommandResult:
             for a, b in edges:
                 lines.append(f"  n{a} -> n{b};")
             lines.append("}")
-            outputs["dot"] = "\n".join(lines)
-            units["dot"] = "graphviz"
-    return CommandResult("lattice", {"n": args.n}, outputs, units)
+            outputs["dot"] = ("\n".join(lines), "graphviz")
+    return CommandResult("lattice", {"n": args.n}, outputs)
 
 
 def _cmd_sample(args) -> CommandResult:
@@ -401,30 +364,22 @@ def _cmd_sample(args) -> CommandResult:
         target = shannon_entropy_dist(dist)
         unit = "bits"
     outputs = {
-        "estimate": report.estimate,
-        "target": target,
-        "abs_error": abs(report.estimate - target),
-        "std_error": report.std_error,
-        "trials": report.trials,
-        "seed": report.seed,
+        "estimate": (report.estimate, unit),
+        "target": (target, unit),
+        "abs_error": (abs(report.estimate - target), unit),
+        "std_error": (report.std_error, unit),
+        "trials": (report.trials, "count"),
+        "seed": (report.seed, "seed"),
     }
     if args.mode == "typical":
-        outputs["typical_count_log2"] = typical_count_log(dist, args.length)
-    units = {
-        "estimate": unit,
-        "target": unit,
-        "abs_error": unit,
-        "std_error": unit,
-        "trials": "count",
-        "seed": "seed",
-        "typical_count_log2": "bits",
-    }
+        outputs["typical_count_log2"] = (typical_count_log(dist, args.length), "bits")
     inputs = {
         "mode": args.mode,
         "dist": formats.format_distribution(dist),
         "seed": args.seed,
     }
-    return CommandResult("sample", inputs, outputs, units)
+    # pairs and seqavg have always listed this unit without its output; recorded CLI JSON pins it
+    return CommandResult("sample", inputs, outputs, extra_units={"typical_count_log2": "bits"})
 
 
 def _cmd_stirling(args) -> CommandResult:
@@ -433,15 +388,9 @@ def _cmd_stirling(args) -> CommandResult:
     except ValueError:
         raise ParseError(f"bad block sizes {args.sizes!r}") from None
     report = stirling_entropy(sizes, bits=args.bits)
-    outputs = {
-        "s_exact": report.s_exact,
-        "approx2": report.approx2,
-        "approx3": report.approx3,
-        "err2": report.err2,
-        "err3": report.err3,
-    }
-    units = {k: report.unit for k in outputs}
-    return CommandResult("stirling", {"sizes": sizes}, outputs, units)
+    keys = ("s_exact", "approx2", "approx3", "err2", "err3")
+    outputs = {key: (getattr(report, key), report.unit) for key in keys}
+    return CommandResult("stirling", {"sizes": sizes}, outputs)
 
 
 # ----------------------------------------------------------------------

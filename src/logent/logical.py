@@ -37,7 +37,7 @@ from .errors import (
     LogentError,
     SizeMismatchError,
 )
-from .partitions import Partition, PairRelation, _check_same_universe
+from .partitions import Partition, PairRelation, _check_same_universe, _from_labels
 
 NORMALIZATION_TOLERANCE = 1e-9
 IDENTITY_TOLERANCE = 1e-12
@@ -297,11 +297,9 @@ def _partition_table(p: Partition, s: Partition, weights: Distribution | None) -
     """Nonempty intersections B & C of the blocks of p (rows) and s (columns)."""
     _check_same_universe(p, s)
     p_index, s_index = p.block_index_of(), s.block_index_of()
-    groups: dict[tuple[int, int], list[int]] = {}
-    for u in range(len(p_index)):
-        groups.setdefault((p_index[u], s_index[u]), []).append(u)
-    masses, total, exact = _masses(groups.values(), len(p_index), weights)
-    cells = [(i, j, m) for (i, j), m in zip(groups, masses)]
+    blocks = _from_labels(p.universe, zip(p_index, s_index)).blocks  # the join's blocks
+    masses, total, exact = _masses(blocks, len(p_index), weights)
+    cells = [(p_index[b[0]], s_index[b[0]], m) for b, m in zip(blocks, masses)]
     rows, cols = [[] for _ in p.blocks], [[] for _ in s.blocks]
     for i, j, m in cells:
         rows[i].append(m)

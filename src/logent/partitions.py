@@ -13,15 +13,19 @@ exact, and for the default cap of n <= 12 a relation fits in 144 bits.
 Being the specification only, a relation is refused above
 ``DENSE_RELATION_LIMIT`` elements instead of growing quadratically.
 
-Public constructors (``Partition(...)``, :func:`make_partition`,
-:func:`partition_from_equivalence`) validate their input.  The internal
-producers (enumeration, join, meet, implication, the discrete and indiscrete
-partitions) emit canonical blocks by construction and skip that check.
+A partition is the inverse image of a labelling ``f: U -> Y``: its blocks are
+the classes ``f^-1(y)``.  :func:`_from_labels` builds every partition the
+library produces that way (enumeration from restricted-growth strings, join
+from the pair labelling ``u -> (p(u), s(u))``, meet, implication, the discrete
+and indiscrete partitions, :func:`make_partition`); grouping elements in
+order makes the blocks canonical by construction, so it is the one path that
+skips validation.  ``Partition(...)`` and :func:`partition_from_equivalence`
+validate their input.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -62,15 +66,12 @@ class Universe:
 class PairRelation:
     """A subset of U x U held as a dense bitmask.
 
-    ``is_partition_relation`` marks values produced as open sets (dit sets and
-    interiors); it is advisory metadata and does not take part in equality.
-    The three defining properties (irreflexive, symmetric, anti-transitive)
-    are checkable by enumeration via the predicates below.
+    The three defining properties of a partition relation (irreflexive,
+    symmetric, anti-transitive) are checkable via the predicates below.
     """
 
     universe: Universe
     bits: int
-    is_partition_relation: bool = field(default=False, compare=False)
 
     def __post_init__(self) -> None:
         n = self.universe.size
@@ -177,11 +178,10 @@ class PairRelation:
         return self.bits & ~other.bits == 0
 
     def transpose(self) -> "PairRelation":
+        """Column v of the n x n bit grid becomes row v, sliced from the grid as a string."""
         n = self.universe.size
-        bits = 0
-        for u, v in self.pairs():
-            bits |= 1 << (v * n + u)
-        return self._like(bits)
+        grid = format(self.bits, f"0{n * n}b")[::-1]  # grid[u*n + v] is bit (u, v)
+        return self._like(int("".join(grid[v::n] for v in range(n))[::-1], 2))
 
     # ------------------------------------------------------------------
     # structural predicates, all by enumeration
@@ -214,7 +214,8 @@ class PairRelation:
         """Whenever (u, w) is a member, every v satisfies (u, v) or (v, w)."""
         n = self.universe.size
         everyone = (1 << n) - 1
-        cols = [self.transpose().row(w) for w in range(n)]
+        transposed = self.transpose()
+        cols = [transposed.row(w) for w in range(n)]
         for u, w in self.pairs():
             if (self.row(u) | cols[w]) != everyone:
                 return False
@@ -232,8 +233,8 @@ class Partition:
     by their least element, so equality of values is exactly equality of
     partitions.  ``Partition(universe, blocks)`` checks that form and
     :func:`make_partition` canonicalizes arbitrary block collections; the
-    library's own producers build canonical blocks and go through
-    :meth:`_trusted`, which skips the check.
+    library's own producers go through :func:`_from_labels`, whose blocks are
+    canonical by construction and skip the check.
     """
 
     universe: Universe
@@ -260,14 +261,6 @@ class Partition:
         if len(seen) != n:
             missing = min(set(range(n)) - seen)
             raise InvalidPartitionError(f"element {missing} not covered by any block")
-
-    @classmethod
-    def _trusted(cls, universe: Universe, blocks: tuple[tuple[int, ...], ...]) -> "Partition":
-        """A partition from blocks already in canonical form, without re-checking them."""
-        partition = object.__new__(cls)
-        object.__setattr__(partition, "universe", universe)
-        object.__setattr__(partition, "blocks", blocks)
-        return partition
 
     @property
     def n_blocks(self) -> int:
@@ -300,43 +293,56 @@ class Partition:
         return masks
 
 
+def _from_labels(universe: Universe, labels: Iterable) -> Partition:
+    """The partition whose blocks are the classes of a labelling of 0..n-1.
+
+    ``labels`` gives each element's label in element order.  Grouping in that
+    order makes each block ascend and orders the blocks by least element, so
+    the result is canonical by construction and is not re-checked.
+    """
+    groups: dict = {}
+    for u, label in enumerate(labels):
+        groups.setdefault(label, []).append(u)
+    partition = object.__new__(Partition)
+    object.__setattr__(partition, "universe", universe)
+    object.__setattr__(partition, "blocks", tuple(map(tuple, groups.values())))
+    return partition
+
+
 def make_partition(blocks: Iterable[Iterable[int]], n: int) -> Partition:
     """Validate and canonicalize a collection of blocks into a Partition.
 
-    Raises :class:`InvalidPartitionError` on overlap, a missing element, or
-    an empty block.
+    Raises :class:`InvalidPartitionError` on overlap, a missing element, an
+    empty block, or an element that is not an integer index.  Repeats within
+    one block are allowed.
     """
     universe = Universe(n)
-    seen: set[int] = set()
-    normalized: list[tuple[int, ...]] = []
-    for raw in blocks:
-        block = sorted(set(raw))
-        if not block:
+    labels: list[int | None] = [None] * n
+    for b, raw in enumerate(blocks):
+        members = list(raw)
+        if not members:
             raise InvalidPartitionError("empty block")
-        for u in block:
+        for u in members:  # checked before any deduplication: {1, True} is not one element
             if not isinstance(u, int) or isinstance(u, bool):
                 raise InvalidPartitionError(f"element {u!r} is not an integer index")
             if not (0 <= u < n):
                 raise InvalidPartitionError(f"element {u} outside universe of size {n}")
-            if u in seen:
+            if labels[u] not in (None, b):
                 raise InvalidPartitionError(f"element {u} appears in more than one block")
-            seen.add(u)
-        normalized.append(tuple(block))
-    if len(seen) != n:
-        missing = min(set(range(n)) - seen)
-        raise InvalidPartitionError(f"element {missing} not covered by any block")
-    normalized.sort(key=lambda b: b[0])
-    return Partition._trusted(universe, tuple(normalized))
+            labels[u] = b
+    if None in labels:
+        raise InvalidPartitionError(f"element {labels.index(None)} not covered by any block")
+    return _from_labels(universe, labels)
 
 
 def discrete_partition(n: int) -> Partition:
     """All singletons: the top of the refinement order."""
-    return Partition._trusted(Universe(n), tuple((u,) for u in range(n)))
+    return _from_labels(Universe(n), range(n))
 
 
 def indiscrete_partition(n: int) -> Partition:
     """One block: the bottom of the refinement order."""
-    return Partition._trusted(Universe(n), (tuple(range(n)),))
+    return _from_labels(Universe(n), [0] * n)
 
 
 def _check_same_universe(p: Partition, s: Partition) -> Universe:
@@ -374,7 +380,7 @@ def dit_set(partition: Partition) -> PairRelation:
     n = partition.universe.size
     _check_dense(n)
     full = (1 << (n * n)) - 1
-    return PairRelation(partition.universe, full ^ indit_set(partition).bits, is_partition_relation=True)
+    return PairRelation(partition.universe, full ^ indit_set(partition).bits)
 
 
 # ----------------------------------------------------------------------
@@ -417,7 +423,7 @@ def interior(relation: PairRelation) -> PairRelation:
     Computed as the complement of the rst-closure of the complement.
     """
     closed = rst_closure(relation.complement())
-    return PairRelation(relation.universe, closed.complement().bits, is_partition_relation=True)
+    return PairRelation(relation.universe, closed.complement().bits)
 
 
 def partition_from_equivalence(relation: PairRelation) -> Partition:
@@ -456,19 +462,13 @@ def partition_from_equivalence(relation: PairRelation) -> Partition:
 
 
 def join(p: Partition, s: Partition) -> Partition:
-    """Blockwise join: the nonempty intersections B & C.
+    """Blockwise join: the nonempty intersections B & C, labelled u -> (p(u), s(u)).
 
     Its dit set is exactly dit(p) | dit(s); the equality is enforced by the
     verification suites.
     """
     _check_same_universe(p, s)
-    pa = p.block_index_of()
-    sa = s.block_index_of()
-    groups: dict[tuple[int, int], list[int]] = {}
-    for u in range(p.universe.size):
-        groups.setdefault((pa[u], sa[u]), []).append(u)
-    blocks = sorted((tuple(g) for g in groups.values()), key=lambda b: b[0])
-    return Partition._trusted(p.universe, tuple(blocks))
+    return _from_labels(p.universe, zip(p.block_index_of(), s.block_index_of()))
 
 
 def meet(p: Partition, s: Partition) -> Partition:
@@ -494,11 +494,14 @@ def meet(p: Partition, s: Partition) -> Partition:
             r = find(u)
             if r != root:
                 parent[r] = root
-    groups: dict[int, list[int]] = {}
-    for u in range(n):
-        groups.setdefault(find(u), []).append(u)
-    blocks = sorted((tuple(g) for g in groups.values()), key=lambda b: b[0])
-    return Partition._trusted(p.universe, tuple(blocks))
+    return _from_labels(p.universe, [find(u) for u in range(n)])
+
+
+def _inside(s: Partition, p: Partition) -> Iterator[bool]:
+    """For each block of p, lazily, whether it lies inside a single block of s."""
+    _check_same_universe(s, p)
+    s_index = s.block_index_of()
+    return (len({s_index[u] for u in block}) == 1 for block in p.blocks)
 
 
 def implication(s: Partition, p: Partition) -> Partition:
@@ -509,17 +512,10 @@ def implication(s: Partition, p: Partition) -> Partition:
     dit set is interior(complement(dit(s)) | dit(p)), and s => p is discrete
     exactly when p refines s.
     """
-    _check_same_universe(s, p)
-    s_index = s.block_index_of()
-    blocks: list[tuple[int, ...]] = []
-    for block in p.blocks:
-        container = set(s.blocks[s_index[block[0]]])
-        if set(block) <= container:
-            blocks.extend((u,) for u in block)
-        else:
-            blocks.append(block)
-    blocks.sort(key=lambda b: b[0])
-    return Partition._trusted(p.universe, tuple(blocks))
+    inside = list(_inside(s, p))
+    # a discretized element gets a label of its own, -1 - u; the rest keep their p-block
+    labels = [-1 - u if inside[b] else b for u, b in enumerate(p.block_index_of())]
+    return _from_labels(p.universe, labels)
 
 
 def refines(s: Partition, p: Partition) -> bool:
@@ -528,13 +524,7 @@ def refines(s: Partition, p: Partition) -> bool:
     Equivalent to dit(s) being a subset of dit(p), which the verification
     suites check pair by pair.
     """
-    _check_same_universe(s, p)
-    s_index = s.block_index_of()
-    for block in p.blocks:
-        container = set(s.blocks[s_index[block[0]]])
-        if not set(block) <= container:
-            return False
-    return True
+    return all(_inside(s, p))
 
 
 def mutual_dit_set(p: Partition, s: Partition) -> PairRelation:
@@ -586,11 +576,7 @@ def _generate_partitions(n: int) -> Iterator[Partition]:
     labels = [0] * n
     caps = [1] * n  # caps[i] = 1 + max(labels[:i]); position i may take 0..caps[i]
     while True:
-        groups: dict[int, list[int]] = {}
-        for u, a in enumerate(labels):
-            groups.setdefault(a, []).append(u)
-        # a restricted-growth string meets its labels in increasing order
-        yield Partition._trusted(universe, tuple(map(tuple, groups.values())))
+        yield _from_labels(universe, labels)
         j = n - 1
         while j > 0 and labels[j] == caps[j]:
             j -= 1

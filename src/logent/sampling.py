@@ -37,10 +37,6 @@ class SampleReport:
     std_error: float
     seed: int
 
-    def __post_init__(self) -> None:
-        if self.std_error < 0:
-            raise DomainError("standard error cannot be negative")
-
 
 def _check_positive(name: str, value: int) -> None:
     if not isinstance(value, int) or isinstance(value, bool) or value < 1:

