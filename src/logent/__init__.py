@@ -61,13 +61,6 @@ from .partitions import (
     refines,
     rst_closure,
 )
-from .sampling import (
-    SampleReport,
-    average_difference_rate,
-    pair_distinction_rate,
-    typical_count_log,
-    typical_message_stats,
-)
 from .shannon import (
     StirlingReport,
     bit_to_dit,
@@ -88,3 +81,27 @@ from .shannon import (
 )
 
 __version__ = "0.1.0"
+
+# The Monte Carlo estimators need numpy; they load on first use, so that
+# importing the package (and every exact computation) stays stdlib-only.
+_SAMPLING_NAMES = frozenset(
+    {
+        "SampleReport",
+        "average_difference_rate",
+        "pair_distinction_rate",
+        "typical_count_log",
+        "typical_message_stats",
+    }
+)
+
+
+def __getattr__(name: str):
+    if name in _SAMPLING_NAMES:
+        from . import sampling
+
+        return getattr(sampling, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _SAMPLING_NAMES)

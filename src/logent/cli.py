@@ -37,12 +37,6 @@ from .partitions import (
     lattice_cover_edges,
     meet,
 )
-from .sampling import (
-    average_difference_rate,
-    pair_distinction_rate,
-    typical_count_log,
-    typical_message_stats,
-)
 from .shannon import (
     bit_to_dit,
     dit_to_bit,
@@ -56,7 +50,6 @@ from .shannon import (
     symmetrized_cross_entropy,
     symmetrized_kl_divergence,
 )
-from .verification import run_all
 
 PROBABILITY = "dimensionless"
 
@@ -307,7 +300,9 @@ def _cmd_compare(args) -> CommandResult:
 def _cmd_verify(args) -> CommandResult:
     if not 2 <= args.max_n <= 6:
         raise LimitExceededError(f"verify sweeps support 2 <= max-n <= 6, got {args.max_n}")
-    suites = run_all(max_n=args.max_n, seed=args.seed)
+    from . import verification
+
+    suites = verification.run_all(max_n=args.max_n, seed=args.seed)
     failures = [s.name for s in suites if not s.passed]
     report = [
         {
@@ -350,17 +345,19 @@ def _cmd_lattice(args) -> CommandResult:
 
 
 def _cmd_sample(args) -> CommandResult:
+    from . import sampling  # the only subcommand that needs numpy
+
     dist = formats.parse_distribution(_read_text(args.dist), exact=args.exact)
     if args.mode == "pairs":
-        report = pair_distinction_rate(dist, args.trials, args.seed)
+        report = sampling.pair_distinction_rate(dist, args.trials, args.seed)
         target = float(logical_entropy_dist(dist))
         unit = PROBABILITY
     elif args.mode == "seqavg":
-        report = average_difference_rate(dist, args.length, args.seed)
+        report = sampling.average_difference_rate(dist, args.length, args.seed)
         target = float(logical_entropy_dist(dist))
         unit = PROBABILITY
     else:  # typical
-        report = typical_message_stats(dist, args.length, args.samples, args.seed)
+        report = sampling.typical_message_stats(dist, args.length, args.samples, args.seed)
         target = shannon_entropy_dist(dist)
         unit = "bits"
     outputs = {
@@ -372,7 +369,7 @@ def _cmd_sample(args) -> CommandResult:
         "seed": (report.seed, "seed"),
     }
     if args.mode == "typical":
-        outputs["typical_count_log2"] = (typical_count_log(dist, args.length), "bits")
+        outputs["typical_count_log2"] = (sampling.typical_count_log(dist, args.length), "bits")
     inputs = {
         "mode": args.mode,
         "dist": formats.format_distribution(dist),

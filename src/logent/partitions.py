@@ -313,13 +313,16 @@ def make_partition(blocks: Iterable[Iterable[int]], n: int) -> Partition:
     """Validate and canonicalize a collection of blocks into a Partition.
 
     Raises :class:`InvalidPartitionError` on overlap, a missing element, an
-    empty block, or an element that is not an integer index.  Repeats within
-    one block are allowed.
+    empty block, an element that is not an integer index, or input that is
+    not a collection of collections.  Repeats within one block are allowed.
     """
     universe = Universe(n)
+    try:
+        rows = [list(raw) for raw in blocks]
+    except TypeError:
+        raise InvalidPartitionError(f"{blocks!r} is not a collection of blocks") from None
     labels: list[int | None] = [None] * n
-    for b, raw in enumerate(blocks):
-        members = list(raw)
+    for b, members in enumerate(rows):
         if not members:
             raise InvalidPartitionError("empty block")
         for u in members:  # checked before any deduplication: {1, True} is not one element

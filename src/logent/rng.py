@@ -4,7 +4,10 @@ Generator identity: SplitMix64.  For a 64-bit seed ``s`` the k-th output
 (k = 1, 2, ...) is ``mix64(s + k * GOLDEN_GAMMA) mod 2**64`` where ``mix64``
 is the standard xor-shift/multiply finalizer below.  Because the state is a
 pure function of (seed, k) the stream can be produced scalar or in batches
-and reproduced bit-for-bit in any language.
+and reproduced bit-for-bit in any language.  The scalar view (``mix64``,
+``SplitMix64``, ``cumulative_weights``) is stdlib-only; the batch view
+(``batch_*``) imports numpy when it is called, so importing this module, and
+everything that uses only the scalar view, never loads numpy.
 
 Unit samples are ``((x >> 11) + 1) * 2**-53``, uniform on (0, 1].  Categorical
 draws use the inverse CDF with right-closed intervals: outcome i owns
@@ -17,8 +20,10 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import accumulate
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 _MIX_1 = 0xBF58476D1CE4E5B9
@@ -55,6 +60,8 @@ class SplitMix64:
 
 def batch_uint64(seed: int, start: int, count: int) -> np.ndarray:
     """Outputs start+1 .. start+count of the stream, identical to the scalar view."""
+    import numpy as np
+
     k = np.arange(start + 1, start + count + 1, dtype=np.uint64)
     z = np.uint64(seed & _MASK64) + k * np.uint64(GOLDEN_GAMMA)
     z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX_1)
@@ -64,6 +71,8 @@ def batch_uint64(seed: int, start: int, count: int) -> np.ndarray:
 
 def batch_units(seed: int, start: int, count: int) -> np.ndarray:
     """Uniform samples on (0, 1] matching SplitMix64.next_unit draw for draw."""
+    import numpy as np
+
     return ((batch_uint64(seed, start, count) >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
 
 
@@ -78,5 +87,7 @@ def cumulative_weights(probs) -> list[float]:
 
 def batch_indices(seed: int, start: int, count: int, cumulative: list[float]) -> np.ndarray:
     """Vectorized inverse-CDF draws, identical to SplitMix64.draw_index."""
+    import numpy as np
+
     u = batch_units(seed, start, count)
     return np.searchsorted(np.asarray(cumulative, dtype=np.float64), u, side="left")

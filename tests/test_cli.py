@@ -170,11 +170,11 @@ class TestVerifyCommand:
         assert code == 1
 
     def test_failure_exits_with_code_two(self, capsys, monkeypatch):
-        import logent.cli as cli
+        from logent import verification
         from logent.verification import SuiteResult
 
         broken = [SuiteResult("planted_failure", checks=10, failures=3, worst_residual=0.5)]
-        monkeypatch.setattr(cli, "run_all", lambda max_n, seed: broken)
+        monkeypatch.setattr(verification, "run_all", lambda max_n, seed: broken)
         code, out, _ = run(capsys, "verify", "--max-n", "3")
         assert code == 2
         assert out["outputs"]["all_passed"] is False

@@ -1,0 +1,56 @@
+"""Only the Monte Carlo estimators load numpy; everything exact is stdlib-only.
+
+Each case runs in a fresh interpreter, since this test process may already
+have imported numpy.
+"""
+
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+import logent
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+
+def numpy_loaded_after(code: str) -> bool:
+    script = f"import sys, contextlib, io\n{code}\nprint('numpy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()[-1] == "True"
+
+
+def quiet_main(argv: list[str]) -> str:
+    return f"from logent import cli\nwith contextlib.redirect_stdout(io.StringIO()): cli.main({argv!r})"
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        pytest.param("import logent", id="import-logent"),
+        pytest.param("import logent.cli", id="import-cli"),
+        pytest.param(quiet_main(["entropy", "0,1|2"]), id="entropy"),
+        pytest.param(quiet_main(["verify", "--max-n", "2"]), id="verify"),
+    ],
+)
+def test_exact_paths_do_not_load_numpy(code):
+    assert not numpy_loaded_after(code)
+
+
+def test_sample_loads_numpy():
+    assert numpy_loaded_after(quiet_main(["sample", "pairs", "1/2,1/2", "--trials", "10"]))
+
+
+def test_sampling_names_resolve_through_the_package():
+    import logent.sampling
+
+    assert logent.pair_distinction_rate is logent.sampling.pair_distinction_rate
+    assert "typical_message_stats" in dir(logent)
+    with pytest.raises(AttributeError):
+        logent.no_such_name

@@ -124,6 +124,11 @@ class TestMakePartition:
             with pytest.raises(InvalidPartitionError, match="integer index"):
                 make_partition(blocks, 2)
 
+    @pytest.mark.parametrize("blocks", [[5], 5, [[0, 1], 3]])
+    def test_non_iterable_input_rejected(self, blocks):
+        with pytest.raises(InvalidPartitionError, match="not a collection of blocks"):
+            make_partition(blocks, 2)
+
 
 class TestPartitionConstructor:
     """The public constructor validates; only the library's own producers skip the checks."""
