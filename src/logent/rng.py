@@ -8,6 +8,9 @@ and reproduced bit-for-bit in any language.  The scalar view (``mix64``,
 ``SplitMix64``, ``cumulative_weights``) is stdlib-only; the batch view
 (``batch_*``) imports numpy when it is called, so importing this module, and
 everything that uses only the scalar view, never loads numpy.
+``batch_indices`` draws in chunks of 2**16: since each draw depends only on
+its index the chunks change no value, and memory is the 8-byte index per draw
+of the result plus the temporaries of one chunk.
 
 Unit samples are ``((x >> 11) + 1) * 2**-53``, uniform on (0, 1].  Categorical
 draws use the inverse CDF with right-closed intervals: outcome i owns
@@ -29,6 +32,7 @@ GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 _MIX_1 = 0xBF58476D1CE4E5B9
 _MIX_2 = 0x94D049BB133111EB
 _MASK64 = (1 << 64) - 1
+_CHUNK = 1 << 16
 
 
 def mix64(z: int) -> int:
@@ -89,5 +93,9 @@ def batch_indices(seed: int, start: int, count: int, cumulative: list[float]) ->
     """Vectorized inverse-CDF draws, identical to SplitMix64.draw_index."""
     import numpy as np
 
-    u = batch_units(seed, start, count)
-    return np.searchsorted(np.asarray(cumulative, dtype=np.float64), u, side="left")
+    cum = np.asarray(cumulative, dtype=np.float64)
+    out = np.empty(count, dtype=np.intp)
+    for lo in range(0, count, _CHUNK):
+        n = min(_CHUNK, count - lo)
+        out[lo : lo + n] = np.searchsorted(cum, batch_units(seed, start + lo, n), side="left")
+    return out

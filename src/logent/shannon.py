@@ -261,7 +261,7 @@ def dit_bit_transform(kind: str, *inputs, base: float = 2.0) -> float:
 class StirlingReport:
     """Exact normalized log-multinomial next to its two Stirling approximations.
 
-    ``s_exact`` is ln(N! / prod N_i!) / N from exact log-factorials;
+    ``s_exact`` is ln(N! / prod N_i!) / N from log-gamma log-factorials;
     ``approx2`` drops each factorial to the two-term Stirling form and lands
     on the natural-log entropy of the size proportions; ``approx3`` keeps the
     (1/2) ln(2 pi M) term of each factorial as well.  Values are in nats
@@ -282,13 +282,16 @@ class StirlingReport:
         return abs(self.s_exact - self.approx3)
 
 
-def _log_factorial(m: int) -> float:
-    """ln(m!) by direct summation of logs; exact to double precision at desk scale."""
-    return math.fsum(math.log(k) for k in range(2, m + 1))
-
-
 def stirling_entropy(block_sizes, bits: bool = False) -> StirlingReport:
-    """Exact S = ln(W)/N for W = N!/(prod N_i!) and its Stirling estimates."""
+    """Exact S = ln(W)/N for W = N!/(prod N_i!) and its Stirling estimates.
+
+    Each ln(m!) is ``math.lgamma(m + 1)``, so the cost is O(blocks) whatever
+    N is and no size makes it hang.  lgamma is accurate to a few ulp of
+    ln(m!), so ``s_exact`` carries an absolute error of a few ulp of
+    ln(N!)/N; the difference cancels when the sizes are very unbalanced, as
+    the O(N) summed form does too.  A total past lgamma's float range (about
+    2.5e305) raises :class:`DomainError`.
+    """
     sizes = list(block_sizes)
     if not sizes:
         raise DomainError("need at least one block size")
@@ -296,7 +299,14 @@ def stirling_entropy(block_sizes, bits: bool = False) -> StirlingReport:
         if not isinstance(s, int) or isinstance(s, bool) or s < 1:
             raise DomainError(f"block sizes must be positive integers, got {s!r}")
     total = sum(sizes)
-    s_exact = (_log_factorial(total) - math.fsum(_log_factorial(s) for s in sizes)) / total
+    try:
+        log_total_factorial = math.lgamma(total + 1)
+    except OverflowError:
+        raise DomainError(
+            f"block sizes total at least 2**{total.bit_length() - 1}, past the float range"
+            " of lgamma (about 2.5e305)"
+        ) from None
+    s_exact = (log_total_factorial - math.fsum(math.lgamma(s + 1) for s in sizes)) / total
     proportions = [s / total for s in sizes]
     approx2 = math.fsum(-p * math.log(p) for p in proportions if p > 0)
     # third Stirling term: (1/2N) * [ln(2 pi N) - sum_i ln(2 pi N_i)]

@@ -1,9 +1,15 @@
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from logent.cli import main
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -255,6 +261,18 @@ class TestStirlingCommand:
     def test_parse_error(self, capsys):
         code, _, _ = run(capsys, "stirling", "6,six")
         assert code == 1
+
+    def test_size_past_lgamma_range_exits_one(self):
+        # a child process with a timeout, so an O(N) route fails instead of hanging
+        done = subprocess.run(
+            [sys.executable, "-m", "logent.cli", "stirling", str(10**400)],
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        assert done.returncode == 1
+        assert "float range" in done.stderr
 
 
 class TestOutputContract:

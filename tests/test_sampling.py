@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -83,6 +84,16 @@ class TestGenerator:
         batch = batch_indices(0, 0, 3, cum)
         assert batch.tolist() == [scalar] * 3
 
+    @pytest.mark.parametrize("start", [0, 12345])
+    @pytest.mark.parametrize("count", [2**16 - 1, 2**16, 2**16 + 1, 3 * 2**16 + 5])
+    def test_chunked_draws_equal_one_shot(self, count, start):
+        # the draws come in chunks of 2**16; a chunk edge must not move any draw
+        cum = cumulative_weights((0.3, 0.0, 0.45, 0.25))
+        one_shot = np.searchsorted(cum, batch_units(5, start, count), side="left")
+        chunked = batch_indices(5, start, count, cum)
+        assert chunked.dtype == one_shot.dtype
+        assert np.array_equal(chunked, one_shot)
+
 
 class TestPairDistinctionRate:
     def test_point_mass_never_distinct(self):
@@ -111,6 +122,17 @@ class TestPairDistinctionRate:
     def test_rejects_bad_trials(self):
         with pytest.raises(DomainError):
             pair_distinction_rate(Distribution.uniform(2), 0, 1)
+
+    def test_memory_peak_stays_bounded(self):
+        # 2e6 draws keep an 8-byte index each (16 MB); the uniforms never exist all at once
+        p = Distribution((0.5, 0.3, 0.2))
+        tracemalloc.start()
+        try:
+            pair_distinction_rate(p, 10**6, 42)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20
 
 
 class TestAverageDifferenceRate:

@@ -1,4 +1,9 @@
 import math
+import os
+import pathlib
+import random
+import subprocess
+import sys
 
 import pytest
 
@@ -37,10 +42,19 @@ ZERO_CELL_JOINT = JointDistribution(((0.25, 0.25), (0.5, 0.0)))
 
 
 def log_factorial_oracle(m):
-    total = 0.0
-    for k in range(2, m + 1):
-        total += math.log(k)
-    return total
+    return math.fsum(math.log(k) for k in range(2, m + 1))
+
+
+def stirling_in_child(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` after importing stirling_entropy, in a fresh interpreter, within 30 s."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    return subprocess.run(
+        [sys.executable, "-c", f"from logent.shannon import stirling_entropy\n{code}"],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
 
 
 class TestHartley:
@@ -357,3 +371,35 @@ class TestStirling:
             stirling_entropy([])
         with pytest.raises(DomainError):
             stirling_entropy([0, 3])
+
+    def test_lgamma_matches_summed_log_factorials(self):
+        rng = random.Random(2024)
+        fixed = [[6, 6], [250] * 4, [1000] * 7, [1, 10_000], [12345, 1, 7], [1], [1] * 50]
+        seeded = [
+            [rng.randint(1, rng.choice((10, 1000, 20_000))) for _ in range(rng.randint(1, 6))]
+            for _ in range(44)
+        ]
+        # the difference cancels on unbalanced sizes, so the bound scales with ln(N!)/N
+        for sizes in fixed + seeded:
+            total = sum(sizes)
+            expected = (
+                log_factorial_oracle(total) - math.fsum(log_factorial_oracle(s) for s in sizes)
+            ) / total
+            tol = 1e-14 * max(1.0, math.lgamma(total + 1) / total)
+            assert abs(stirling_entropy(sizes).s_exact - expected) <= tol, sizes
+
+    # Large totals run in a child process with a timeout, so a route that is
+    # O(N) again fails here instead of hanging the suite.
+    def test_large_total_returns_promptly(self):
+        done = stirling_in_child("print(stirling_entropy([10**9, 10**9]).s_exact)")
+        assert done.returncode == 0, done.stderr
+        assert float(done.stdout) == pytest.approx(math.log(2), abs=1e-8)
+
+    @pytest.mark.parametrize("sizes", ["[10**306]", "[10**400]", "[5 * 10**305, 5 * 10**305]"])
+    def test_total_past_lgamma_range_is_a_domain_error(self, sizes):
+        done = stirling_in_child(
+            "from logent.errors import DomainError\n"
+            f"try:\n    stirling_entropy({sizes})\nexcept DomainError as exc:\n    print(exc)"
+        )
+        assert done.returncode == 0, done.stderr
+        assert "float range" in done.stdout
