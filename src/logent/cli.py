@@ -396,28 +396,33 @@ def _cmd_stirling(args) -> CommandResult:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = _Parser(add_help=False)
-    common.add_argument("--pretty", action="store_true", help="aligned human-readable output")
-    common.add_argument("--base", choices=["2", "e"], default="2", help="entropy log base")
-    common.add_argument(
-        "--exact", action="store_true", help="parse decimals as exact rationals"
-    )
+    # each subcommand takes only the options it reads
+    pretty = _Parser(add_help=False)
+    pretty.add_argument("--pretty", action="store_true", help="aligned human-readable output")
+    base = _Parser(add_help=False)
+    base.add_argument("--base", choices=["2", "e"], default="2", help="entropy log base")
+    exact = _Parser(add_help=False)
+    exact.add_argument("--exact", action="store_true", help="parse decimals as exact rationals")
 
     parser = _Parser(prog="logent", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("entropy", parents=[common], help="entropies of a partition or distribution")
+    p = sub.add_parser(
+        "entropy", parents=[pretty, base, exact], help="entropies of a partition or distribution"
+    )
     p.add_argument("input", help="partition like 0,1|2 or distribution like 1/2,1/3,1/6")
     p.add_argument("--kind", choices=["auto", "partition", "dist"], default="auto")
     p.add_argument("--weights", help="element weights for partition inputs")
     p.add_argument("--n", type=int, default=None, help="explicit universe size")
     p.set_defaults(handler=_cmd_entropy)
 
-    p = sub.add_parser("joint", parents=[common], help="all quantities of a joint matrix")
+    p = sub.add_parser(
+        "joint", parents=[pretty, base, exact], help="all quantities of a joint matrix"
+    )
     p.add_argument("matrix", help="CSV matrix; rows x values, columns y values; ';' splits rows")
     p.set_defaults(handler=_cmd_joint)
 
-    p = sub.add_parser("ops", parents=[common], help="lattice operations on two partitions")
+    p = sub.add_parser("ops", parents=[pretty, base], help="lattice operations on two partitions")
     p.add_argument("operation", choices=["join", "meet", "implies"])
     p.add_argument("first", help="partition text")
     p.add_argument(
@@ -427,22 +432,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None, help="explicit universe size")
     p.set_defaults(handler=_cmd_ops)
 
-    p = sub.add_parser("compare", parents=[common], help="cross entropies and divergences")
+    p = sub.add_parser(
+        "compare", parents=[pretty, base, exact], help="cross entropies and divergences"
+    )
     p.add_argument("p")
     p.add_argument("q")
     p.set_defaults(handler=_cmd_compare)
 
-    p = sub.add_parser("verify", parents=[common], help="run the identity suites")
+    p = sub.add_parser("verify", parents=[pretty], help="run the identity suites")
     p.add_argument("--max-n", type=int, default=4, dest="max_n")
     p.add_argument("--seed", type=int, default=2024)
     p.set_defaults(handler=_cmd_verify)
 
-    p = sub.add_parser("lattice", parents=[common], help="partition lattice census")
+    p = sub.add_parser("lattice", parents=[pretty], help="partition lattice census")
     p.add_argument("n", type=int)
     p.add_argument("--dot", action="store_true", help="emit a DOT graph of cover edges")
     p.set_defaults(handler=_cmd_lattice)
 
-    p = sub.add_parser("sample", parents=[common], help="seeded sampling experiments")
+    p = sub.add_parser("sample", parents=[pretty, exact], help="seeded sampling experiments")
     p.add_argument("mode", choices=["pairs", "seqavg", "typical"])
     p.add_argument("dist")
     p.add_argument("--trials", type=int, default=100_000)
@@ -451,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=2024)
     p.set_defaults(handler=_cmd_sample)
 
-    p = sub.add_parser("stirling", parents=[common], help="multinomial entropy approximations")
+    p = sub.add_parser("stirling", parents=[pretty], help="multinomial entropy approximations")
     p.add_argument("sizes", help="comma-separated block sizes, e.g. 6,6")
     p.add_argument("--bits", action="store_true", help="report bits instead of nats")
     p.set_defaults(handler=_cmd_stirling)

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by every module in the package."""
+"""Exception hierarchy shared by every module in the package, and the one size check."""
 
 
 class LogentError(Exception):
@@ -35,3 +35,9 @@ class InvalidDistanceMatrixError(LogentError, ValueError):
 
 class ParseError(LogentError, ValueError):
     """Text input could not be parsed."""
+
+
+def _check_positive(name: str, value) -> None:
+    """Raise :class:`DomainError` unless ``value`` is a positive ``int`` (``bool`` excluded)."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise DomainError(f"{name} must be a positive integer, got {value!r}")

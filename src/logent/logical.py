@@ -28,6 +28,7 @@ import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import (
@@ -65,13 +66,16 @@ class Distribution:
     probs: tuple
 
     def __post_init__(self) -> None:
-        probs = tuple(self.probs)
+        try:
+            probs = tuple(self.probs)
+            for p in probs:
+                if not p >= 0:  # also rejects NaN, which compares false with everything
+                    raise InvalidDistributionError(f"probability {p} is not a nonnegative number")
+            total = sum(probs)
+        except TypeError:  # not iterable, or an entry that does not compare or add like a number
+            raise InvalidDistributionError(f"{self.probs!r} is not a sequence of numbers") from None
         if not probs:
             raise InvalidDistributionError("a distribution needs at least one outcome")
-        for p in probs:
-            if not p >= 0:  # also rejects NaN, which compares false with everything
-                raise InvalidDistributionError(f"probability {p} is not a nonnegative number")
-        total = sum(probs)
         if abs(float(total) - 1.0) > NORMALIZATION_TOLERANCE:
             raise InvalidDistributionError(f"probabilities sum to {float(total)}, not 1")
         if total != 1:
@@ -129,26 +133,25 @@ class Distribution:
 
 @dataclass(frozen=True)
 class JointDistribution:
-    """A joint probability matrix p(x, y); rows are x values, columns y values."""
+    """A joint probability matrix p(x, y); rows are x values, columns y values.
+
+    The cells are validated and normalized as one :class:`Distribution`.
+    """
 
     rows: tuple
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(r) for r in self.rows)
+        try:
+            rows = tuple(tuple(r) for r in self.rows)
+        except TypeError:
+            raise InvalidDistributionError(f"{self.rows!r} is not a matrix of numbers") from None
         if not rows or not rows[0]:
             raise InvalidDistributionError("a joint distribution needs at least one cell")
         width = len(rows[0])
-        for r in rows:
-            if len(r) != width:
-                raise InvalidDistributionError("ragged joint matrix")
-            for p in r:
-                if not p >= 0:  # also rejects NaN
-                    raise InvalidDistributionError(f"probability {p} is not a nonnegative number")
-        total = sum(p for r in rows for p in r)
-        if abs(float(total) - 1.0) > NORMALIZATION_TOLERANCE:
-            raise InvalidDistributionError(f"joint probabilities sum to {float(total)}, not 1")
-        if total != 1:
-            rows = tuple(tuple(p / total for p in r) for r in rows)
+        if any(len(r) != width for r in rows):
+            raise InvalidDistributionError("ragged joint matrix")
+        cells = Distribution(tuple(chain.from_iterable(rows))).probs
+        rows = tuple(cells[i : i + width] for i in range(0, len(cells), width))
         object.__setattr__(self, "rows", rows)
 
     @property

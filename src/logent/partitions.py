@@ -17,10 +17,11 @@ A partition is the inverse image of a labelling ``f: U -> Y``: its blocks are
 the classes ``f^-1(y)``.  :func:`_from_labels` builds every partition the
 library produces that way (enumeration from restricted-growth strings, join
 from the pair labelling ``u -> (p(u), s(u))``, meet, implication, the discrete
-and indiscrete partitions, :func:`make_partition`); grouping elements in
-order makes the blocks canonical by construction, so it is the one path that
-skips validation.  ``Partition(...)`` and :func:`partition_from_equivalence`
-validate their input.
+and indiscrete partitions, :func:`make_partition`,
+:func:`partition_from_equivalence`); grouping elements in order makes the
+blocks canonical by construction, so it is the one path that skips
+validation.  Blocks are checked in one place, :func:`_labels`, which the
+public ``Partition(...)`` constructor shares with :func:`make_partition`.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .errors import (
     LimitExceededError,
     NotEquivalenceError,
     SizeMismatchError,
+    _check_positive,
 )
 
 DEFAULT_ENUMERATION_LIMIT = 12
@@ -54,8 +56,7 @@ class Universe:
     size: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.size, int) or isinstance(self.size, bool) or self.size < 1:
-            raise DomainError(f"universe size must be a positive integer, got {self.size!r}")
+        _check_positive("universe size", self.size)
 
     @property
     def pair_count(self) -> int:
@@ -229,38 +230,24 @@ class PairRelation:
 class Partition:
     """A partition of {0, .., n-1} in canonical form.
 
-    Canonical form: elements ascend within each block, and blocks are ordered
-    by their least element, so equality of values is exactly equality of
-    partitions.  ``Partition(universe, blocks)`` checks that form and
-    :func:`make_partition` canonicalizes arbitrary block collections; the
-    library's own producers go through :func:`_from_labels`, whose blocks are
-    canonical by construction and skip the check.
+    Canonical form: tuple blocks, elements ascending within each block and
+    blocks ordered by their least element, so equality of values is exactly
+    equality of partitions.  ``Partition(universe, blocks)`` checks the blocks
+    with the same routine as :func:`make_partition` and requires them in that
+    form; the library's own producers go through :func:`_from_labels`, whose
+    blocks are canonical by construction, and skip the check.
     """
 
     universe: Universe
     blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        n = self.universe.size
-        seen: set[int] = set()
-        previous_least = -1
-        for block in self.blocks:
-            if not block:
-                raise InvalidPartitionError("empty block")
-            if list(block) != sorted(block):
-                raise InvalidPartitionError(f"block {block} not in ascending order")
-            if block[0] <= previous_least:
-                raise InvalidPartitionError("blocks not ordered by least element")
-            previous_least = block[0]
-            for u in block:
-                if not (0 <= u < n):
-                    raise InvalidPartitionError(f"element {u} outside universe of size {n}")
-                if u in seen:
-                    raise InvalidPartitionError(f"element {u} appears in more than one block")
-                seen.add(u)
-        if len(seen) != n:
-            missing = min(set(range(n)) - seen)
-            raise InvalidPartitionError(f"element {missing} not covered by any block")
+        canonical = _from_labels(self.universe, _labels(self.blocks, self.universe.size))
+        if self.blocks != canonical.blocks:
+            raise InvalidPartitionError(
+                f"blocks {self.blocks!r} are not in canonical form"
+                " (tuples, each ascending, ordered by least element)"
+            )
 
     @property
     def n_blocks(self) -> int:
@@ -309,14 +296,11 @@ def _from_labels(universe: Universe, labels: Iterable) -> Partition:
     return partition
 
 
-def make_partition(blocks: Iterable[Iterable[int]], n: int) -> Partition:
-    """Validate and canonicalize a collection of blocks into a Partition.
+def _labels(blocks: Iterable[Iterable[int]], n: int) -> list[int]:
+    """Each element's block number: the one check of a collection of blocks.
 
-    Raises :class:`InvalidPartitionError` on overlap, a missing element, an
-    empty block, an element that is not an integer index, or input that is
-    not a collection of collections.  Repeats within one block are allowed.
+    Both :func:`make_partition` and ``Partition(...)`` validate through it.
     """
-    universe = Universe(n)
     try:
         rows = [list(raw) for raw in blocks]
     except TypeError:
@@ -335,7 +319,17 @@ def make_partition(blocks: Iterable[Iterable[int]], n: int) -> Partition:
             labels[u] = b
     if None in labels:
         raise InvalidPartitionError(f"element {labels.index(None)} not covered by any block")
-    return _from_labels(universe, labels)
+    return labels
+
+
+def make_partition(blocks: Iterable[Iterable[int]], n: int) -> Partition:
+    """Validate and canonicalize a collection of blocks into a Partition.
+
+    Raises :class:`InvalidPartitionError` on overlap, a missing element, an
+    empty block, an element that is not an integer index, or input that is
+    not a collection of collections.  Repeats within one block are allowed.
+    """
+    return _from_labels(Universe(n), _labels(blocks, n))
 
 
 def discrete_partition(n: int) -> Partition:
@@ -441,22 +435,9 @@ def partition_from_equivalence(relation: PairRelation) -> Partition:
         raise NotEquivalenceError("relation is not symmetric")
     if not relation.is_transitive():
         raise NotEquivalenceError("relation is not transitive")
-    n = relation.universe.size
-    visited = 0
-    blocks: list[tuple[int, ...]] = []
-    for u in range(n):
-        if (visited >> u) & 1:
-            continue
-        mask = relation.row(u)
-        members = []
-        m = mask
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            members.append(v)
-        blocks.append(tuple(members))
-        visited |= mask
-    return Partition(relation.universe, tuple(blocks))
+    rows = (relation.row(u) for u in range(relation.universe.size))
+    # an equivalence row is its element's class, so its lowest bit labels the class
+    return _from_labels(relation.universe, ((row & -row).bit_length() - 1 for row in rows))
 
 
 # ----------------------------------------------------------------------
@@ -560,22 +541,24 @@ def mutual_dit_set_blockform(p: Partition, s: Partition) -> PairRelation:
 # ----------------------------------------------------------------------
 
 
-def enumerate_partitions(n: int, limit: int = DEFAULT_ENUMERATION_LIMIT) -> Iterator[Partition]:
+def enumerate_partitions(n: int) -> Iterator[Partition]:
     """All partitions of {0, .., n-1}, each exactly once.
 
     Order is the lexicographic order of restricted-growth strings, which is
     deterministic and starts at the one-block partition and ends at the
-    all-singletons partition.  The count is the Bell number B(n).
+    all-singletons partition.  The count is the Bell number B(n), and n is
+    capped at ``DEFAULT_ENUMERATION_LIMIT``.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise DomainError(f"need a positive integer carrier size, got {n!r}")
-    if n > limit:
-        raise LimitExceededError(f"enumeration of {n} elements exceeds the cap of {limit}")
-    return _generate_partitions(n)
-
-
-def _generate_partitions(n: int) -> Iterator[Partition]:
     universe = Universe(n)
+    if n > DEFAULT_ENUMERATION_LIMIT:
+        raise LimitExceededError(
+            f"enumeration of {n} elements exceeds the cap of {DEFAULT_ENUMERATION_LIMIT}"
+        )
+    return _generate_partitions(universe)
+
+
+def _generate_partitions(universe: Universe) -> Iterator[Partition]:
+    n = universe.size
     labels = [0] * n
     caps = [1] * n  # caps[i] = 1 + max(labels[:i]); position i may take 0..caps[i]
     while True:
@@ -605,7 +588,7 @@ def bell_number(n: int) -> int:
     return row[0]
 
 
-def lattice_cover_edges(n: int, limit: int = DEFAULT_ENUMERATION_LIMIT) -> list[tuple[int, int]]:
+def lattice_cover_edges(n: int) -> list[tuple[int, int]]:
     """Cover edges of the refinement order, as index pairs into the enumeration.
 
     An edge (i, j) means partition j covers partition i: j refines i and has
@@ -613,7 +596,7 @@ def lattice_cover_edges(n: int, limit: int = DEFAULT_ENUMERATION_LIMIT) -> list[
     once, by splitting a block of i into a part that keeps its least element
     and a nonempty rest; edges come sorted by (i, j).
     """
-    parts = list(enumerate_partitions(n, limit=limit))
+    parts = list(enumerate_partitions(n))
     index = {p.blocks: k for k, p in enumerate(parts)}
     edges = []
     for i, coarser in enumerate(parts):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import _check_positive
 from .logical import Distribution
 from .rng import batch_indices, cumulative_weights
 from .shannon import shannon_entropy_dist
@@ -36,11 +36,6 @@ class SampleReport:
     trials: int
     std_error: float
     seed: int
-
-
-def _check_positive(name: str, value: int) -> None:
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise DomainError(f"{name} must be a positive integer, got {value!r}")
 
 
 def _std_error(values: np.ndarray) -> float:

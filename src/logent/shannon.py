@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, LogentError, SizeMismatchError
+from .errors import DomainError, LogentError, SizeMismatchError, _check_positive
 from .logical import (
     Distribution,
     JointDistribution,
@@ -266,6 +266,11 @@ class StirlingReport:
     on the natural-log entropy of the size proportions; ``approx3`` keeps the
     (1/2) ln(2 pi M) term of each factorial as well.  Values are in nats
     unless ``unit`` says bits.
+
+    ``s_exact`` is itself good only to a few ulp of ln(N!)/N, so an ``err2``
+    or ``err3`` of that size is rounding noise, not Stirling error: for sizes
+    ``[10**9, 10**9]`` ``err3`` reads 1.22e-15, but the true three-term error
+    is about 6e-20.
     """
 
     s_exact: float
@@ -296,8 +301,7 @@ def stirling_entropy(block_sizes, bits: bool = False) -> StirlingReport:
     if not sizes:
         raise DomainError("need at least one block size")
     for s in sizes:
-        if not isinstance(s, int) or isinstance(s, bool) or s < 1:
-            raise DomainError(f"block sizes must be positive integers, got {s!r}")
+        _check_positive("block size", s)
     total = sum(sizes)
     try:
         log_total_factorial = math.lgamma(total + 1)

@@ -293,6 +293,36 @@ class TestOutputContract:
         assert "# entropy" in out
         assert "[bits]" in out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["stirling", "6,6", "--base", "e"],
+            ["verify", "--max-n", "2", "--exact"],
+            ["sample", "typical", "1/2,1/2", "--base", "e"],
+            ["ops", "join", "0,1|2", "0|1,2", "--exact"],
+            ["lattice", "3", "--base", "e"],
+        ],
+    )
+    def test_options_a_subcommand_does_not_read_are_rejected(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert "unrecognized arguments" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ops", "meet", "0,1|2", "0|1,2", "--pretty", "--base", "e"],
+            ["compare", "1/2,1/2", "0.25,0.75", "--pretty", "--base", "e", "--exact"],
+            ["lattice", "3", "--pretty"],
+            ["stirling", "6,6", "--pretty", "--bits"],
+            ["sample", "pairs", "0.5,0.5", "--pretty", "--exact", "--trials", "10"],
+        ],
+    )
+    def test_options_a_subcommand_reads_are_accepted(self, capsys, argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out.startswith(f"# {argv[0]}")
+
     def test_residuals_small_on_valid_inputs(self, capsys):
         _, out, _ = run(capsys, "joint", "0.3,0.2;0.1,0.4")
         assert all(float(v) < 1e-9 for v in out["residuals"].values())

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -87,6 +88,15 @@ class TestDistribution:
         with pytest.raises(InvalidDistributionError):
             Distribution((math.inf, 0.5))
 
+    @pytest.mark.parametrize("probs", [("a",), (None,), (1j,), (0.5, "a"), 5])
+    def test_rejects_non_numbers(self, probs):
+        with pytest.raises(InvalidDistributionError):
+            Distribution(probs)
+
+    def test_accepts_entries_that_compare_with_zero(self):
+        d = Distribution((Decimal("0.25"), Decimal("0.75")))
+        assert d.probs == (Decimal("0.25"), Decimal("0.75"))
+
 
 class TestJointDistribution:
     def test_marginals_are_computed_sums(self):
@@ -106,6 +116,11 @@ class TestJointDistribution:
         "rows", [((math.nan, 0.5), (0.25, 0.25)), ((0.5, 0.5), (0.0, math.nan)), ((math.inf, 0.0),)]
     )
     def test_non_finite_rejected(self, rows):
+        with pytest.raises(InvalidDistributionError):
+            JointDistribution(rows)
+
+    @pytest.mark.parametrize("rows", [5, (5, 6), (("a", 0.5), (0.25, 0.25)), ((None,),)])
+    def test_non_numbers_rejected(self, rows):
         with pytest.raises(InvalidDistributionError):
             JointDistribution(rows)
 

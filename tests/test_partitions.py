@@ -142,6 +142,13 @@ class TestPartitionConstructor:
             (((0, 1), (2, 3)), "outside universe"),
             (((0, 2), (1, 2)), "more than one block"),
             (((0, 1),), "not covered"),
+            # blocks are checked by the same routine as make_partition's
+            ([(0, 1), (2,)], "canonical form"),
+            (([0, 1], [2]), "canonical form"),
+            (((0, True), (2,)), "integer index"),
+            (((0, 1.0), (2,)), "integer index"),
+            (((0, "a"), (2,)), "integer index"),
+            (5, "not a collection of blocks"),
         ],
     )
     def test_malformed_blocks_rejected(self, blocks, message):
@@ -151,7 +158,9 @@ class TestPartitionConstructor:
     @pytest.mark.parametrize("n", range(1, 8))
     def test_enumeration_emits_validated_partitions(self, n):
         for p in enumerate_partitions(n):
-            assert Partition(p.universe, p.blocks) == p
+            rebuilt = Partition(p.universe, p.blocks)
+            assert rebuilt == p == make_partition(p.blocks, n)
+            assert hash(rebuilt) == hash(p) == hash(make_partition(p.blocks, n))
 
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_discrete_and_indiscrete_are_valid(self, n):
@@ -463,8 +472,6 @@ class TestEnumeration:
     def test_limit_enforced(self):
         with pytest.raises(LimitExceededError):
             enumerate_partitions(13)
-        with pytest.raises(LimitExceededError):
-            enumerate_partitions(5, limit=4)
 
     def test_bad_size(self):
         with pytest.raises(DomainError):
