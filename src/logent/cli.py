@@ -326,6 +326,8 @@ def _cmd_verify(args) -> CommandResult:
 def _cmd_lattice(args) -> CommandResult:
     if not 1 <= args.n <= 12:
         raise LimitExceededError(f"lattice summaries support 1 <= n <= 12, got {args.n}")
+    if args.dot and args.n > 6:
+        raise LimitExceededError(f"DOT output needs n <= 6, got {args.n}")
     outputs: dict = {"bell_count": (bell_number(args.n), "count")}
     if args.n <= 6:
         parts = list(enumerate_partitions(args.n))

@@ -37,6 +37,7 @@ from .errors import (
     InvalidDistributionError,
     LogentError,
     SizeMismatchError,
+    _check_positive,
 )
 from .partitions import Partition, PairRelation, _check_same_universe, _from_labels
 
@@ -108,20 +109,19 @@ class Distribution:
 
     @classmethod
     def uniform(cls, n: int) -> "Distribution":
-        if n < 1:
-            raise InvalidDistributionError("need at least one outcome")
+        _check_positive("outcome count", n)
         return cls((1.0 / n,) * n)
 
     @classmethod
     def uniform_exact(cls, n: int) -> "Distribution":
-        if n < 1:
-            raise InvalidDistributionError("need at least one outcome")
+        _check_positive("outcome count", n)
         return cls((Fraction(1, n),) * n)
 
     @classmethod
     def point_mass(cls, n: int, outcome: int = 0) -> "Distribution":
-        if not (0 <= outcome < n):
-            raise InvalidDistributionError(f"outcome {outcome} outside 0..{n - 1}")
+        _check_positive("outcome count", n)
+        if isinstance(outcome, bool) or not isinstance(outcome, int) or not 0 <= outcome < n:
+            raise InvalidDistributionError(f"outcome {outcome!r} is not an index in 0..{n - 1}")
         return cls(tuple(1 if i == outcome else 0 for i in range(n)))
 
     def mix(self, other: "Distribution") -> "Distribution":

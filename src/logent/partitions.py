@@ -242,6 +242,8 @@ class Partition:
     blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.universe, Universe):
+            raise InvalidPartitionError(f"universe {self.universe!r} is not a Universe")
         canonical = _from_labels(self.universe, _labels(self.blocks, self.universe.size))
         if self.blocks != canonical.blocks:
             raise InvalidPartitionError(

@@ -8,17 +8,26 @@ and reproduced bit-for-bit in any language.  The scalar view (``mix64``,
 ``SplitMix64``, ``cumulative_weights``) is stdlib-only; the batch view
 (``batch_*``) imports numpy when it is called, so importing this module, and
 everything that uses only the scalar view, never loads numpy.
-``batch_indices`` draws in chunks of 2**16: since each draw depends only on
-its index the chunks change no value, and memory is the 8-byte index per draw
-of the result plus the temporaries of one chunk.
 
 Unit samples are ``((x >> 11) + 1) * 2**-53``, uniform on (0, 1].  Categorical
 draws use the inverse CDF with right-closed intervals: outcome i owns
 (c_{i-1}, c_i] where c_i is the cumulative probability, so a zero-probability
 outcome owns an empty interval and is never drawn.  The cumulative values
 from the last outcome with mass onward are pinned to 1.0, trailing zeros too.
-"""
+``SplitMix64.draw_index`` and ``np.searchsorted(cum, batch_units(...))`` are
+that rule on floats, and stay its specification.
 
+The batch draws compare the raw words instead, with no float conversion.
+For a cumulative value ``c < 1``, ``u > c`` holds exactly when
+``x >= floor(c * 2**53) << 11``; a value ``>= 1`` is never below ``u``.  So
+a draw is the number of these integer steps that are ``<= x``.  A guide
+table of 2**12 buckets, on the top 12 bits of ``x``, holds that count at each
+bucket's lowest word (Chen & Asau 1974; Devroye 1986, III.2.4); only a draw
+in a bucket that holds a step (about (k-1)/4096 of the draws for k outcomes)
+is searched.  The draws come in chunks of 2**16: since a draw depends only on
+its index, chunking changes no value, and a consumer that reads the chunks
+as they come never holds an index per draw.
+"""
 from __future__ import annotations
 
 from bisect import bisect_left
@@ -32,7 +41,8 @@ GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 _MIX_1 = 0xBF58476D1CE4E5B9
 _MIX_2 = 0x94D049BB133111EB
 _MASK64 = (1 << 64) - 1
-_CHUNK = 1 << 16
+_CHUNK = 1 << 16  # even, so a chunk never splits a pair of draws
+_GUIDE_BITS = 12
 
 
 def mix64(z: int) -> int:
@@ -89,13 +99,46 @@ def cumulative_weights(probs) -> list[float]:
     return cum
 
 
+def _guide(cumulative: list[float]) -> tuple[np.ndarray, np.ndarray]:
+    """The steps ``floor(c * 2**53) << 11`` for the values ``c < 1``, and the guide table.
+
+    Table entry b is the number of steps ``<= b << 52``, the bucket's lowest
+    word, or -1 when a step lies inside the bucket, so that its draws are searched.
+    """
+    import numpy as np
+
+    cum = np.asarray(cumulative, dtype=np.float64)
+    cum = cum[: np.searchsorted(cum, 1.0, side="left")]
+    steps = np.floor(cum * 2.0**53).astype(np.uint64) << np.uint64(11)
+    lows = np.arange(1 << _GUIDE_BITS, dtype=np.uint64) << np.uint64(64 - _GUIDE_BITS)
+    base = np.searchsorted(steps, lows, side="right")
+    top = np.searchsorted(steps, lows | np.uint64((1 << (64 - _GUIDE_BITS)) - 1), side="right")
+    return steps, np.where(top == base, base, -1)
+
+
+def _index_chunks(seed: int, start: int, count: int, cumulative: list[float]):
+    """Yield ``(offset, indices)`` for each chunk of at most ``_CHUNK`` draws.
+
+    Offset 0 is stream output ``start + 1``, as in :func:`batch_uint64`.
+    """
+    import numpy as np
+
+    steps, table = _guide(cumulative)
+    shift = np.uint64(64 - _GUIDE_BITS)
+    for lo in range(0, count, _CHUNK):
+        words = batch_uint64(seed, start + lo, min(_CHUNK, count - lo))
+        indices = table[(words >> shift).view(np.int64)]  # a signed index gathers faster
+        inside = np.flatnonzero(indices < 0)
+        if inside.size:
+            indices[inside] = np.searchsorted(steps, words[inside], side="right")
+        yield lo, indices
+
+
 def batch_indices(seed: int, start: int, count: int, cumulative: list[float]) -> np.ndarray:
     """Vectorized inverse-CDF draws, identical to SplitMix64.draw_index."""
     import numpy as np
 
-    cum = np.asarray(cumulative, dtype=np.float64)
     out = np.empty(count, dtype=np.intp)
-    for lo in range(0, count, _CHUNK):
-        n = min(_CHUNK, count - lo)
-        out[lo : lo + n] = np.searchsorted(cum, batch_units(seed, start + lo, n), side="left")
+    for lo, indices in _index_chunks(seed, start, count, cumulative):
+        out[lo : lo + indices.size] = indices
     return out

@@ -7,12 +7,13 @@ messages.  The estimators here check those limits empirically.
 
 Every run is a pure function of its arguments: the stream is SplitMix64 (see
 :mod:`logent.rng`), consumed in draw order, so two runs with the same seed
-produce bit-identical reports.  Standard errors come from the sample
-variance, not from analytic formulas, so they remain honest for arbitrary
-user-supplied distributions.  The typical-message check is a sampled one:
-real message ensembles only concentrate asymptotically, so membership of an
-exact typical set is not tested, only the convergence of the observed
-bits-per-letter.
+produce bit-identical reports.  The draws are read one chunk at a time, so
+an estimator holds one float per value it averages, never an index per
+draw.  Standard errors come from the sample variance, not from analytic
+formulas, so they remain honest for arbitrary user-supplied distributions.
+The typical-message check is a sampled one: real message ensembles only
+concentrate asymptotically, so membership of an exact typical set is not
+tested, only the convergence of the observed bits-per-letter.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 from .errors import _check_positive
 from .logical import Distribution
-from .rng import batch_indices, cumulative_weights
+from .rng import _index_chunks, cumulative_weights
 from .shannon import shannon_entropy_dist
 
 
@@ -44,6 +45,18 @@ def _std_error(values: np.ndarray) -> float:
     return float(np.std(values, ddof=1) / math.sqrt(values.size))
 
 
+def _per_draw(p: Distribution, count: int, seed: int, table: np.ndarray) -> np.ndarray:
+    """``table[i]`` for the outcome ``i`` of each of stream draws 1 .. count."""
+    values = np.empty(count)
+    for lo, indices in _index_chunks(seed, 0, count, cumulative_weights(p.probs)):
+        values[lo : lo + indices.size] = table[indices]
+    return values
+
+
+def _float_probs(p: Distribution) -> np.ndarray:
+    return np.asarray([float(q) for q in p.probs])
+
+
 def pair_distinction_rate(p: Distribution, trials: int, seed: int) -> SampleReport:
     """Fraction of independent draw pairs that land on distinct outcomes.
 
@@ -51,9 +64,9 @@ def pair_distinction_rate(p: Distribution, trials: int, seed: int) -> SampleRepo
     stream draws 2t-1 and 2t.
     """
     _check_positive("trials", trials)
-    cum = cumulative_weights(p.probs)
-    draws = batch_indices(seed, 0, 2 * trials, cum)
-    distinct = (draws[0::2] != draws[1::2]).astype(np.float64)
+    distinct = np.empty(trials)
+    for lo, indices in _index_chunks(seed, 0, 2 * trials, cumulative_weights(p.probs)):
+        distinct[lo // 2 : (lo + indices.size) // 2] = indices[0::2] != indices[1::2]
     return SampleReport(
         estimate=float(distinct.mean()),
         trials=trials,
@@ -69,10 +82,7 @@ def average_difference_rate(p: Distribution, sequence_length: int, seed: int) ->
     uniform distribution every term is already 1 - 1/n.
     """
     _check_positive("sequence_length", sequence_length)
-    cum = cumulative_weights(p.probs)
-    draws = batch_indices(seed, 0, sequence_length, cum)
-    probs = np.asarray([float(q) for q in p.probs])
-    values = 1.0 - probs[draws]
+    values = _per_draw(p, sequence_length, seed, 1.0 - _float_probs(p))
     return SampleReport(
         estimate=float(values.mean()),
         trials=sequence_length,
@@ -92,11 +102,11 @@ def typical_message_stats(
     """
     _check_positive("message_length", message_length)
     _check_positive("samples", samples)
-    cum = cumulative_weights(p.probs)
-    draws = batch_indices(seed, 0, samples * message_length, cum)
-    draws = draws.reshape(samples, message_length)
-    log_probs = np.log2(np.asarray([float(q) for q in p.probs])[draws])
-    per_message = -log_probs.sum(axis=1) / message_length
+    probs = _float_probs(p)
+    # zero-mass outcomes are never drawn, so their entry is never read
+    log2_probs = np.log2(probs, out=np.zeros_like(probs), where=probs > 0)
+    log_probs = _per_draw(p, samples * message_length, seed, log2_probs)
+    per_message = -log_probs.reshape(samples, message_length).sum(axis=1) / message_length
     return SampleReport(
         estimate=float(per_message.mean()),
         trials=samples,

@@ -211,6 +211,12 @@ class TestLatticeCommand:
         code, out, _ = run(capsys, "lattice", "2", "--dot")
         assert out["outputs"]["dot"].startswith("digraph")
 
+    def test_dot_refused_beyond_listing_cap(self, capsys):
+        code, out, err = run(capsys, "lattice", "7", "--dot")
+        assert code == 1
+        assert out == ""
+        assert "DOT output needs n <= 6" in err
+
 
 class TestSampleCommand:
     def test_pairs_report(self, capsys):

@@ -8,6 +8,7 @@ import pytest
 
 from logent import cli
 from logent.errors import (
+    DomainError,
     InvalidDistanceMatrixError,
     InvalidDistributionError,
     SizeMismatchError,
@@ -78,6 +79,19 @@ class TestDistribution:
     def test_point_mass(self):
         d = Distribution.point_mass(4, 2)
         assert d.probs == (0, 0, 1, 0)
+
+    @pytest.mark.parametrize("n", ["a", 2.5, 0, -1, True])
+    @pytest.mark.parametrize(
+        "factory", [Distribution.uniform, Distribution.uniform_exact, Distribution.point_mass]
+    )
+    def test_factories_reject_bad_sizes(self, factory, n):
+        with pytest.raises(DomainError, match="outcome count"):
+            factory(n)
+
+    @pytest.mark.parametrize("outcome", ["x", 1.0, True, -1, 3, None])
+    def test_point_mass_rejects_bad_outcomes(self, outcome):
+        with pytest.raises(InvalidDistributionError, match="not an index"):
+            Distribution.point_mass(3, outcome)
 
     @pytest.mark.parametrize("probs", [(math.nan, 0.5), (0.5, math.nan, 0.5), (math.nan,)])
     def test_rejects_nan(self, probs):

@@ -155,6 +155,11 @@ class TestPartitionConstructor:
         with pytest.raises(InvalidPartitionError, match=message):
             Partition(Universe(3), blocks)
 
+    @pytest.mark.parametrize("universe", [3, None, (0, 1, 2)])
+    def test_universe_must_be_a_universe(self, universe):
+        with pytest.raises(InvalidPartitionError, match="not a Universe"):
+            Partition(universe, ((0, 1), (2,)))
+
     @pytest.mark.parametrize("n", range(1, 8))
     def test_enumeration_emits_validated_partitions(self, n):
         for p in enumerate_partitions(n):

@@ -1,15 +1,20 @@
 import math
 import tracemalloc
+from bisect import bisect_left
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import logent.rng
 from logent.errors import DomainError
 from logent.logical import Distribution, logical_entropy_dist
 from logent.rng import (
+    _CHUNK,
     SplitMix64,
+    _index_chunks,
     batch_indices,
     batch_uint64,
     batch_units,
@@ -17,6 +22,7 @@ from logent.rng import (
     mix64,
 )
 from logent.sampling import (
+    _std_error,
     average_difference_rate,
     pair_distinction_rate,
     typical_count_log,
@@ -79,8 +85,11 @@ class TestGenerator:
         monkeypatch.setattr(SplitMix64, "next_unit", lambda self: 1.0)
         scalar = SplitMix64(0).draw_index(cum)
         assert probs[scalar] > 0
-        # batch path: np.searchsorted on the same forced draw
-        monkeypatch.setattr(logent.rng, "batch_units", lambda seed, start, count: np.ones(count))
+        # batch path: the all-ones word is the same forced draw u = 1.0
+        top = np.full(1, 2**64 - 1, dtype=np.uint64)
+        monkeypatch.setattr(
+            logent.rng, "batch_uint64", lambda seed, start, count: top.repeat(count)
+        )
         batch = batch_indices(0, 0, 3, cum)
         assert batch.tolist() == [scalar] * 3
 
@@ -93,6 +102,146 @@ class TestGenerator:
         chunked = batch_indices(5, start, count, cum)
         assert chunked.dtype == one_shot.dtype
         assert np.array_equal(chunked, one_shot)
+
+
+def spec_indices(seed, start, count, cum):
+    """The float specification of a batch of draws: bisect the unit samples."""
+    units = batch_units(seed, start, count)
+    return np.searchsorted(np.asarray(cum, dtype=np.float64), units, side="left")
+
+
+_DIRICHLET = np.random.default_rng(20240611)
+KERNEL_CASES = {
+    "one": (1.0,),
+    "two": (0.7, 0.3),
+    "two-dyadic": (0.5, 0.5),
+    "three": (0.5, 0.3, 0.2),
+    "three-dyadic": (0.25, 0.25, 0.5),
+    "leading-zero": (0.0, 0.4, 0.6),
+    "interior-zero": (0.4, 0.0, 0.6),
+    "trailing-zeros": (0.4, 0.6, 0.0, 0.0),
+    "tiny-mass": (0.5, 1e-300, 0.5),
+    "tiny-first": (1e-300, 0.25, 0.75),
+    "five": (0.1, 0.2, 0.3, 0.15, 0.25),
+    "six": (0.05, 0.15, 0.2, 0.1, 0.3, 0.2),
+    "six-zeros": (0.0, 0.1, 0.2, 0.0, 0.3, 0.15, 0.25, 0.0),
+    "bucket-edges": (1 / 4096,) * 4096,
+    # leading, interior and trailing zeros among 1,000 masses
+    "1000": tuple(np.insert(_DIRICHLET.dirichlet(np.ones(1000)), [0, 500, 1000], 0.0)),
+    # more outcomes than buckets: every bucket holds a step
+    "5000": tuple(_DIRICHLET.dirichlet(np.ones(5000))),
+    **{f"short-sum-{i}": probs for i, probs in enumerate(TestGenerator.SHORT_SUMS)},
+}
+
+
+def _forced_words(cum):
+    """Every integer step t, t - 1 and t + 1, both sides of every bucket edge, and the extremes."""
+    words = {0, 2**64 - 1}
+    for c in cum:
+        if c < 1.0:
+            t = math.floor(c * 2**53) << 11
+            words |= {t - 1, t, t + 1}
+    for b in range(1, 1 << 12):
+        words |= {(b << 52) - 1, b << 52}
+    return np.array(sorted(w for w in words if 0 <= w < 2**64), dtype=np.uint64)
+
+
+class TestGuideKernel:
+    """The integer guide-table draws against the float inverse CDF, draw for draw."""
+
+    @pytest.mark.parametrize("probs", KERNEL_CASES.values(), ids=KERNEL_CASES.keys())
+    def test_forced_words_match_float_spec(self, probs, monkeypatch):
+        cum = cumulative_weights(Distribution(probs).probs)
+        words = _forced_words(cum)
+        monkeypatch.setattr(
+            logent.rng, "batch_uint64", lambda seed, start, count: words[start : start + count]
+        )
+        expected = spec_indices(0, 0, words.size, cum)
+        assert np.array_equal(batch_indices(0, 0, words.size, cum), expected)
+        # the float spec itself agrees with the scalar bisection on these words
+        units = batch_units(0, 0, words.size)
+        assert [bisect_left(cum, u) for u in units[::97].tolist()] == expected[::97].tolist()
+
+    @pytest.mark.parametrize("start", [0, 12345])
+    @pytest.mark.parametrize("probs", KERNEL_CASES.values(), ids=KERNEL_CASES.keys())
+    def test_stream_matches_float_spec(self, probs, start):
+        cum = cumulative_weights(Distribution(probs).probs)
+        count = _CHUNK + 7
+        expected = spec_indices(3, start, count, cum)
+        assert np.array_equal(batch_indices(3, start, count, cum), expected)
+
+    @pytest.mark.parametrize("start", [0, 12345])
+    @pytest.mark.parametrize("count", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5])
+    def test_chunks_tile_the_draws(self, count, start):
+        cum = cumulative_weights((0.3, 0.0, 0.45, 0.25))
+        chunks = list(_index_chunks(5, start, count, cum))
+        assert [lo for lo, _ in chunks] == list(range(0, count, _CHUNK))
+        assert all(0 < idx.size <= _CHUNK for _, idx in chunks)
+        assert sum(idx.size for _, idx in chunks) == count
+        drawn = np.concatenate([idx for _, idx in chunks])
+        assert np.array_equal(drawn, spec_indices(5, start, count, cum))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        weights=st.lists(st.integers(0, 10**6), min_size=1, max_size=40).filter(any),
+        seed=st.integers(0, 2**64 - 1),
+        start=st.integers(0, 2**40),
+    )
+    def test_random_distributions_match_float_spec(self, weights, seed, start):
+        total = sum(weights)
+        cum = cumulative_weights(Distribution(tuple(Fraction(w, total) for w in weights)).probs)
+        expected = spec_indices(seed, start, 5000, cum)
+        assert np.array_equal(batch_indices(seed, start, 5000, cum), expected)
+
+
+ESTIMATOR_CASES = {
+    k: KERNEL_CASES[k] for k in ("one", "three", "six-zeros", "1000", "short-sum-0")
+}
+
+
+class TestEstimatorsMatchSpec:
+    """Each estimator, read chunk by chunk, equals its one-shot form on the float draws."""
+
+    @pytest.mark.parametrize("probs", ESTIMATOR_CASES.values(), ids=ESTIMATOR_CASES.keys())
+    def test_pair_distinction_rate(self, probs):
+        p = Distribution(probs)
+        trials = _CHUNK // 2 + 3  # the draws cross a chunk edge; no pair may straddle it
+        draws = spec_indices(11, 0, 2 * trials, cumulative_weights(p.probs))
+        distinct = (draws[0::2] != draws[1::2]).astype(np.float64)
+        report = pair_distinction_rate(p, trials, 11)
+        expected = (float(distinct.mean()), _std_error(distinct))
+        assert (report.estimate, report.std_error) == expected
+
+    @pytest.mark.parametrize("probs", ESTIMATOR_CASES.values(), ids=ESTIMATOR_CASES.keys())
+    def test_average_difference_rate(self, probs):
+        p = Distribution(probs)
+        length = _CHUNK + 1
+        draws = spec_indices(12, 0, length, cumulative_weights(p.probs))
+        values = 1.0 - np.asarray([float(q) for q in p.probs])[draws]
+        report = average_difference_rate(p, length, 12)
+        expected = (float(values.mean()), _std_error(values))
+        assert (report.estimate, report.std_error) == expected
+
+    @pytest.mark.parametrize("probs", ESTIMATOR_CASES.values(), ids=ESTIMATOR_CASES.keys())
+    def test_typical_message_stats(self, probs):
+        p = Distribution(probs)
+        length, samples = 300, 250  # messages straddle the chunk edges
+        draws = spec_indices(13, 0, length * samples, cumulative_weights(p.probs))
+        probs = np.asarray([float(q) for q in p.probs])
+        log_probs = np.log2(probs[draws.reshape(samples, length)])
+        per_message = -log_probs.sum(axis=1) / length
+        report = typical_message_stats(p, length, samples, 13)
+        expected = (float(per_message.mean()), _std_error(per_message))
+        assert (report.estimate, report.std_error) == expected
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestPairDistinctionRate:
@@ -155,6 +304,11 @@ class TestAverageDifferenceRate:
         p = Distribution((0.7, 0.3))
         assert average_difference_rate(p, 5000, 17) == average_difference_rate(p, 5000, 17)
 
+    def test_memory_peak_stays_bounded(self):
+        # one 8-byte value per draw (and one more inside np.std), never an index per draw
+        peak = _traced_peak(average_difference_rate, Distribution((0.5, 0.3, 0.2)), 10**6, 7)
+        assert peak < 18 * 2**20
+
 
 class TestTypicalMessages:
     def test_equiprobable_alphabet_exact(self):
@@ -181,6 +335,11 @@ class TestTypicalMessages:
         assert typical_count_log(p, 100) == 150.0
         assert typical_count_log(Distribution.uniform(3), 7) == pytest.approx(7 * math.log2(3))
         assert typical_count_log(Distribution.point_mass(4), 50) == 0.0
+
+    def test_memory_peak_stays_bounded(self):
+        # one 8-byte log-probability per draw, never an index per draw
+        peak = _traced_peak(typical_message_stats, Distribution((0.5, 0.3, 0.2)), 1000, 1000, 7)
+        assert peak < 14 * 2**20
 
     def test_count_log_rejects_bad_length(self):
         with pytest.raises(DomainError):
