@@ -10,6 +10,12 @@ That measure is fixed by block masses, so production never builds the pair
 space: a partition pair, like a joint distribution, becomes one table of
 block-intersection masses, and one formula per quantity is evaluated over it.
 :func:`product_measure` on a dit set is the specification it is checked against.
+The table is counted straight from the two partitions' cached element -> block
+labels, without building their join, and the last one built is kept: the
+conditional and mutual measures, logical and Shannon, of the same
+``(p, s, weights)`` objects share one table.  That memo is keyed by identity,
+not equality, since equal weights can be float or exact, and it is swapped in
+one assignment, so it is safe under threads.
 
 All functions are pure and numeric-type generic: feed them ``float`` entries
 for fast arithmetic or ``fractions.Fraction`` entries for exact arithmetic.
@@ -25,9 +31,11 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import chain
 from typing import Iterable, Iterator, NamedTuple
 
@@ -39,18 +47,30 @@ from .errors import (
     SizeMismatchError,
     _check_positive,
 )
-from .partitions import Partition, PairRelation, _check_same_universe, _from_labels
+from .partitions import Partition, PairRelation, _check_same_universe
 
 NORMALIZATION_TOLERANCE = 1e-9
 IDENTITY_TOLERANCE = 1e-12
 
 
+def _left_sum(values: Iterable):
+    """Left-to-right sum, the same on every Python: built-in ``sum`` compensates
+    float rounding from 3.12 on, which moved normalized entries and residuals."""
+    return reduce(operator.add, values, 0)
+
+
+_EXACT_TYPES = frozenset((int, Fraction))  # tested with issuperset: a C loop, stops at a float
+
+
 def _accumulate(terms: Iterable):
-    """Sum that stays exact for Fraction/int terms and uses fsum for floats."""
+    """Plain (exact) sum when every term is an int or a Fraction, fsum otherwise.
+
+    So ``0`` and ``0.0`` in a float vector give the same value.
+    """
     values = list(terms)
-    if values and all(isinstance(v, float) for v in values):
-        return math.fsum(values)
-    return sum(values[1:], values[0]) if values else 0  # no 0 + first: one Fraction op fewer
+    if _EXACT_TYPES.issuperset(map(type, values)):
+        return sum(values[1:], values[0]) if values else 0  # no 0 + first: one Fraction op fewer
+    return math.fsum(values)
 
 
 @dataclass(frozen=True)
@@ -72,7 +92,7 @@ class Distribution:
             for p in probs:
                 if not p >= 0:  # also rejects NaN, which compares false with everything
                     raise InvalidDistributionError(f"probability {p} is not a nonnegative number")
-            total = sum(probs)
+            total = _left_sum(probs)
         except TypeError:  # not iterable, or an entry that does not compare or add like a number
             raise InvalidDistributionError(f"{self.probs!r} is not a sequence of numbers") from None
         if not probs:
@@ -164,11 +184,11 @@ class JointDistribution:
 
     @property
     def marginal_x(self) -> tuple:
-        return tuple(sum(r) for r in self.rows)
+        return tuple(map(_left_sum, self.rows))
 
     @property
     def marginal_y(self) -> tuple:
-        return tuple(sum(r[j] for r in self.rows) for j in range(self.ny))
+        return tuple(_left_sum(r[j] for r in self.rows) for j in range(self.ny))
 
     def cells(self) -> Iterator[tuple[int, int, object]]:
         for i, r in enumerate(self.rows):
@@ -289,35 +309,57 @@ class _MassTable(NamedTuple):
     ``exact`` marks integer masses over T = D from exact weights.
     """
 
-    cells: list
+    cells: tuple
     rows: tuple
     cols: tuple
     total: object
     exact: bool = False
 
 
+# (p, s, weights, table) of the last partition table built, in one tuple so that
+# one assignment replaces key and table together: safe to read from any thread
+_last_table: tuple = (None, None, None, None)
+
+
 def _partition_table(p: Partition, s: Partition, weights: Distribution | None) -> _MassTable:
-    """Nonempty intersections B & C of the blocks of p (rows) and s (columns)."""
+    """Nonempty intersections B & C of the blocks of p (rows) and s (columns).
+
+    Cells come in order of first element, the join's block order.  The last
+    table is reused when called again with the very same objects: the key is
+    identity, because equal weights may differ in kind (float or exact).
+    """
+    global _last_table
     _check_same_universe(p, s)
-    p_index, s_index = p.block_index_of(), s.block_index_of()
-    blocks = _from_labels(p.universe, zip(p_index, s_index)).blocks  # the join's blocks
-    masses, total, exact = _masses(blocks, len(p_index), weights)
-    cells = [(p_index[b[0]], s_index[b[0]], m) for b, m in zip(blocks, masses)]
+    last_p, last_s, last_weights, table = _last_table
+    if p is last_p and s is last_s and weights is last_weights:
+        return table
+    keys = zip(p._block_labels, s._block_labels)
+    if weights is None:
+        cells = tuple((i, j, m) for (i, j), m in Counter(keys).items())
+        total, exact = p.universe.size, False
+    else:
+        groups: dict = {}
+        for u, key in enumerate(keys):
+            groups.setdefault(key, []).append(u)
+        masses, total, exact = _masses(groups.values(), p.universe.size, weights)
+        cells = tuple((i, j, m) for (i, j), m in zip(groups, masses))
     rows, cols = [[] for _ in p.blocks], [[] for _ in s.blocks]
     for i, j, m in cells:
         rows[i].append(m)
         cols[j].append(m)
-    return _MassTable(
+    table = _MassTable(
         cells, tuple(map(_accumulate, rows)), tuple(map(_accumulate, cols)), total, exact
     )
+    _last_table = (p, s, weights, table)
+    return table
 
 
 def _joint_table(joint: JointDistribution, given: str = "y") -> _MassTable:
     """The joint's cells with the ``given`` axis as columns (transposed for 'x')."""
     if given == "y":
-        return _MassTable(list(joint.cells()), joint.marginal_x, joint.marginal_y, 1)
+        return _MassTable(tuple(joint.cells()), joint.marginal_x, joint.marginal_y, 1)
     if given == "x":
-        transposed = [(j, i, p) for i, j, p in joint.cells()]
+        transposed = tuple((j, i, p) for i, j, p in joint.cells())
         return _MassTable(transposed, joint.marginal_y, joint.marginal_x, 1)
     raise DomainError(f"axis selector must be 'x' or 'y', got {given!r}")
 

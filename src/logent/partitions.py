@@ -22,11 +22,18 @@ and indiscrete partitions, :func:`make_partition`,
 blocks canonical by construction, so it is the one path that skips
 validation.  Blocks are checked in one place, :func:`_labels`, which the
 public ``Partition(...)`` constructor shares with :func:`make_partition`.
+
+The way back, element -> block index, is the form that pair code works on
+(join, refinement, implication, the measure tables).  A partition builds it
+once, on first use, and keeps it as a tuple outside its fields, so equality,
+hashing and repr see only the blocks; :meth:`Partition.block_index_of` hands
+out a fresh list copy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -140,6 +147,10 @@ class PairRelation:
         n = self.universe.size
         return (self.bits >> (u * n)) & ((1 << n) - 1)
 
+    def _rows(self) -> list[int]:
+        """Every row, in element order: n shifts of the grid instead of one per lookup."""
+        return [self.row(u) for u in range(self.universe.size)]
+
     # ------------------------------------------------------------------
     # set algebra
     # ------------------------------------------------------------------
@@ -200,26 +211,27 @@ class PairRelation:
         return self.bits == self.transpose().bits
 
     def is_transitive(self) -> bool:
-        n = self.universe.size
-        for u in range(n):
-            reach = self.row(u)
+        rows = self._rows()
+        for reach in rows:
             m = reach
             while m:
                 v = (m & -m).bit_length() - 1
                 m &= m - 1
-                if self.row(v) & ~reach:
+                if rows[v] & ~reach:
                     return False
         return True
 
     def is_anti_transitive(self) -> bool:
         """Whenever (u, w) is a member, every v satisfies (u, v) or (v, w)."""
-        n = self.universe.size
-        everyone = (1 << n) - 1
-        transposed = self.transpose()
-        cols = [transposed.row(w) for w in range(n)]
-        for u, w in self.pairs():
-            if (self.row(u) | cols[w]) != everyone:
-                return False
+        everyone = (1 << self.universe.size) - 1
+        cols = self.transpose()._rows()
+        for row in self._rows():
+            m = row
+            while m:
+                w = (m & -m).bit_length() - 1
+                m &= m - 1
+                if (row | cols[w]) != everyone:
+                    return False
         return True
 
     def is_equivalence(self) -> bool:
@@ -263,13 +275,18 @@ class Partition:
     def is_indiscrete(self) -> bool:
         return self.n_blocks == 1
 
-    def block_index_of(self) -> list[int]:
-        """Map element -> index of its block, as a list over 0..n-1."""
+    @cached_property
+    def _block_labels(self) -> tuple[int, ...]:
+        """Each element's block index, built once per partition; not a field."""
         out = [0] * self.universe.size
         for i, block in enumerate(self.blocks):
             for u in block:
                 out[u] = i
-        return out
+        return tuple(out)
+
+    def block_index_of(self) -> list[int]:
+        """Map element -> index of its block, as a fresh list over 0..n-1."""
+        return list(self._block_labels)
 
     def block_masks(self) -> list[int]:
         """Each block as an n-bit element mask."""
@@ -397,7 +414,7 @@ def rst_closure(relation: PairRelation) -> PairRelation:
     """
     n = relation.universe.size
     full_row = (1 << n) - 1
-    rows = [((relation.bits >> (u * n)) & full_row) | (1 << u) for u in range(n)]
+    rows = [row | (1 << u) for u, row in enumerate(relation._rows())]
     unplaced = full_row
     bits = 0
     while unplaced:
@@ -437,7 +454,7 @@ def partition_from_equivalence(relation: PairRelation) -> Partition:
         raise NotEquivalenceError("relation is not symmetric")
     if not relation.is_transitive():
         raise NotEquivalenceError("relation is not transitive")
-    rows = (relation.row(u) for u in range(relation.universe.size))
+    rows = relation._rows()
     # an equivalence row is its element's class, so its lowest bit labels the class
     return _from_labels(relation.universe, ((row & -row).bit_length() - 1 for row in rows))
 
@@ -454,7 +471,7 @@ def join(p: Partition, s: Partition) -> Partition:
     verification suites.
     """
     _check_same_universe(p, s)
-    return _from_labels(p.universe, zip(p.block_index_of(), s.block_index_of()))
+    return _from_labels(p.universe, zip(p._block_labels, s._block_labels))
 
 
 def meet(p: Partition, s: Partition) -> Partition:
@@ -486,7 +503,7 @@ def meet(p: Partition, s: Partition) -> Partition:
 def _inside(s: Partition, p: Partition) -> Iterator[bool]:
     """For each block of p, lazily, whether it lies inside a single block of s."""
     _check_same_universe(s, p)
-    s_index = s.block_index_of()
+    s_index = s._block_labels
     return (len({s_index[u] for u in block}) == 1 for block in p.blocks)
 
 
@@ -500,7 +517,7 @@ def implication(s: Partition, p: Partition) -> Partition:
     """
     inside = list(_inside(s, p))
     # a discretized element gets a label of its own, -1 - u; the rest keep their p-block
-    labels = [-1 - u if inside[b] else b for u, b in enumerate(p.block_index_of())]
+    labels = [-1 - u if inside[b] else b for u, b in enumerate(p._block_labels)]
     return _from_labels(p.universe, labels)
 
 

@@ -92,7 +92,7 @@ def _shannon_partition_table(p: Partition, s: Partition, weights: Distribution |
         return table
     d = table.total
     return _MassTable(
-        [(i, j, m / d) for i, j, m in table.cells],
+        tuple((i, j, m / d) for i, j, m in table.cells),
         tuple(r / d for r in table.rows),
         tuple(c / d for c in table.cols),
         1,

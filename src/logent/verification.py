@@ -16,6 +16,7 @@ from fractions import Fraction
 from .logical import (
     Distribution,
     JointDistribution,
+    _left_sum,
     joint_logical_entropy,
     logical_conditional_joint,
     logical_conditional_partition,
@@ -113,7 +114,7 @@ class _Tally:
 def random_distribution(gen: SplitMix64, n: int, floor: float = 0.05) -> Distribution:
     """A random vector with components bounded away from zero, normalized."""
     raw = [floor + (1.0 - floor) * gen.next_unit() for _ in range(n)]
-    total = sum(raw)
+    total = _left_sum(raw)
     return Distribution(tuple(v / total for v in raw))
 
 
@@ -130,7 +131,7 @@ def random_joint(
                 for j in range(ny):
                     if gen.next_unit() <= zero_rate:
                         rows[i][j] = 0.0
-        total = sum(v for r in rows for v in r)
+        total = _left_sum(v for r in rows for v in r)
         if total > 0:
             return JointDistribution(tuple(tuple(v / total for v in r) for r in rows))
 
@@ -298,7 +299,7 @@ def _lift(p: Partition, copies: int, index) -> Partition:
     the other factor, and each cell is labelled with the block of its u.
     """
     labels = [0] * (p.universe.size * copies)
-    for u, b in enumerate(p.block_index_of()):
+    for u, b in enumerate(p._block_labels):
         for k in range(copies):
             labels[index(u, k)] = b
     return _from_labels(Universe(len(labels)), labels)

@@ -1,6 +1,9 @@
 import itertools
 import json
 import math
+import random
+import sys
+import threading
 from decimal import Decimal
 from fractions import Fraction
 
@@ -32,7 +35,10 @@ from logent.logical import (
     quadratic_entropy,
 )
 from logent.partitions import (
+    DENSE_RELATION_LIMIT,
     PairRelation,
+    Universe,
+    _from_labels,
     discrete_partition,
     dit_set,
     enumerate_partitions,
@@ -49,6 +55,7 @@ from logent.shannon import (
 )
 
 THIRDS = Distribution((Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)))
+THIRDS_OF_SIX = Distribution(tuple(Fraction(k, 21) for k in range(1, 7)))
 
 
 class TestDistribution:
@@ -357,6 +364,131 @@ class TestConditionalAndMutualPartition:
             assert (1 - h_join) - (1 - h_p) * (1 - h_s) == m - h_p * h_s
 
 
+class TestPairTableReuse:
+    """A pair's mass table is reused only for the very same (p, s, weights) objects."""
+
+    P = make_partition([{0, 1}, {2, 3}, {4}], 5)
+    S = make_partition([{0, 2, 4}, {1, 3}], 5)
+    A = make_partition([{0, 1}, {2, 3, 4}, {5}], 6), make_partition([{0, 2}, {1, 3}, {4, 5}], 6)
+    B = make_partition([{0, 5}, {1, 2, 3, 4}], 6), make_partition([{0, 1, 2}, {3, 4, 5}], 6)
+
+    def test_equal_weights_of_another_kind_are_not_reused(self):
+        dyadic = Distribution((0.25, 0.25, 0.125, 0.125, 0.25))
+        exact = Distribution(tuple(Fraction(x) for x in dyadic.probs))
+        assert dyadic == exact and hash(dyadic) == hash(exact)  # so the key is identity
+        oracle = mutual_dit_set(self.P, self.S)
+        first = logical_mutual_partition(self.P, self.S, dyadic)
+        second = logical_mutual_partition(self.P, self.S, exact)
+        assert type(first) is float and first == product_measure(oracle, dyadic)
+        assert type(second) is Fraction and second == product_measure(oracle, exact)
+
+    @pytest.mark.parametrize("weights", [None, THIRDS_OF_SIX, Distribution.uniform(6)])
+    def test_alternating_pairs(self, weights):
+        a, b = self.A, self.B
+        fns = (
+            logical_conditional_partition,
+            logical_mutual_partition,
+            shannon_conditional_partition,
+            shannon_mutual_partition,
+        )
+
+        def values(p, s):
+            return [fn(p, s, weights) for fn in fns]
+
+        first_a, first_b = values(*a), values(*b)
+        assert values(*a) == first_a and values(*b) == first_b and values(*a) == first_a
+        # fresh copies of the same values take a new table and agree bit for bit
+        assert values(*(make_partition(p.blocks, 6) for p in a)) == first_a
+        for (p, s), (cond, mutual, *_) in ((a, first_a), (b, first_b)):
+            oracles = dit_set(p) - dit_set(s), mutual_dit_set(p, s)
+            if weights is None:
+                assert [cond, mutual] == [len(r) / 36 for r in oracles]
+            else:
+                expected = [product_measure(r, weights) for r in oracles]
+                assert [cond, mutual] == pytest.approx(expected, abs=1e-12)
+
+    def test_mutating_handed_out_labels_changes_nothing(self):
+        before = [
+            logical_entropy_partition(self.P),
+            logical_conditional_partition(self.P, self.S),
+            logical_mutual_partition(self.S, self.P),
+        ]
+        labels = self.P.block_index_of()
+        labels.reverse()
+        labels[0] = 9
+        after = [
+            logical_entropy_partition(self.P),
+            logical_conditional_partition(self.P, self.S),
+            logical_mutual_partition(self.S, self.P),
+        ]
+        assert after == before
+        assert join(self.P, self.S) == join(make_partition(self.P.blocks, 5), self.S)
+
+
+    def test_threads_sharing_the_memo_get_their_own_pair(self):
+        pairs = [self.A, self.B, (discrete_partition(6), self.B[0])]
+        weights = [None, THIRDS_OF_SIX, Distribution.uniform(6)]
+        jobs = [(p, s, w) for p, s in pairs for w in weights]
+        fns = (logical_conditional_partition, logical_mutual_partition, shannon_mutual_partition)
+        expected = [[fn(*job) for fn in fns] for job in jobs]
+        wrong = []
+
+        def worker(offset):
+            for k in range(400):
+                i = (k + offset) % len(jobs)
+                if [fn(*jobs[i]) for fn in fns] != expected[i]:
+                    wrong.append(i)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(t,)) for t in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+
+
+class TestPairTableAtTheDenseLimit:
+    """Block-mass values against the dense dit sets at n = DENSE_RELATION_LIMIT."""
+
+    N = DENSE_RELATION_LIMIT
+
+    @staticmethod
+    def random_partition(rng, n):
+        k = rng.choice([1, 2, 3, 8, 20, n])
+        return _from_labels(Universe(n), [rng.randrange(k) for _ in range(n)])
+
+    @pytest.mark.parametrize("kind", ["unweighted", "exact", "float"])
+    def test_conditional_and_mutual(self, kind):
+        rng = random.Random(f"dense-limit-{kind}")
+        n = self.N
+        for _ in range(6):
+            p, s = self.random_partition(rng, n), self.random_partition(rng, n)
+            raw = [rng.randint(0, 9) for _ in range(n)]
+            raw[rng.randrange(n)] += 1  # never all zero
+            weights = {
+                "unweighted": None,
+                "exact": Distribution(tuple(Fraction(x, sum(raw)) for x in raw)),
+                "float": Distribution(tuple(x / sum(raw) for x in raw)),
+            }[kind]
+            cases = (
+                (logical_conditional_partition(p, s, weights), dit_set(p) - dit_set(s)),
+                (logical_mutual_partition(p, s, weights), mutual_dit_set(p, s)),
+            )
+            for value, oracle in cases:
+                if weights is None:
+                    assert value == len(oracle) / (n * n)
+                elif kind == "exact":
+                    assert type(value) is Fraction and value == product_measure(oracle, weights)
+                else:
+                    assert value == pytest.approx(product_measure(oracle, weights), abs=1e-12)
+
+
 class TestJointMeasures:
     def test_uniform_2x2(self):
         j = JointDistribution.uniform(2, 2)
@@ -451,6 +583,34 @@ class TestCrossAndDivergence:
             logical_entropy_dist(p) + logical_entropy_dist(q)
         ) / 2
         assert logical_divergence(p, q) == jensen == Fraction(1, 16)
+
+    ZERO_FIRST = (0, 0.2, 0.5, 0.01, 0.29)  # sums to exactly 1.0, so 0 is kept as an int
+
+    def test_how_a_zero_is_typed_does_not_change_the_sum(self):
+        as_int = Distribution(self.ZERO_FIRST)
+        as_float = Distribution((0.0,) + self.ZERO_FIRST[1:])
+        assert type(as_int.probs[0]) is int  # the stored entries are not coerced
+        other = Distribution((0, 0.3, 0.3, 0.2, 0.2))
+        other_float = Distribution((0.0, 0.3, 0.3, 0.2, 0.2))
+        assert logical_entropy_dist(as_int) == logical_entropy_dist(as_float) == 0.6258
+        assert logical_cross_entropy(as_int, other) == logical_cross_entropy(as_float, other_float)
+        assert logical_divergence(as_int, other) == logical_divergence(as_float, other_float)
+
+    def test_zero_typing_over_seeded_vectors(self):
+        rng = random.Random(11)
+        tried = 0
+        while tried < 200:
+            raw = [rng.random() for _ in range(7)]
+            probs = tuple(x / math.fsum(raw) for x in raw)
+            if sum(probs) != 1.0:
+                continue  # renormalizing would turn the int 0 into a float
+            tried += 1
+            p, q = Distribution((0,) + probs), Distribution((0.0,) + probs)
+            assert logical_entropy_dist(p) == logical_entropy_dist(q)
+            assert logical_cross_entropy(p, p) == logical_cross_entropy(q, q)
+            assert logical_divergence(p, Distribution.point_mass(8)) == logical_divergence(
+                q, Distribution((1.0,) + (0.0,) * 7)
+            )
 
     def test_length_mismatch(self):
         with pytest.raises(SizeMismatchError):

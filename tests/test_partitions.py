@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import pytest
 
@@ -173,6 +174,28 @@ class TestPartitionConstructor:
             assert Partition(p.universe, p.blocks) == p
 
 
+class TestBlockLabels:
+    """Each partition keeps its element -> block map once, outside its value."""
+
+    P = make_partition([{0, 3}, {1}, {2, 4}], 5)
+
+    def test_labels_follow_blocks(self):
+        assert self.P.block_index_of() == [0, 1, 2, 0, 2]
+
+    def test_each_call_hands_out_a_fresh_copy(self):
+        labels = self.P.block_index_of()
+        labels[0], labels[4] = 7, 7
+        assert self.P.block_index_of() == [0, 1, 2, 0, 2]
+        assert self.P.block_index_of() is not self.P.block_index_of()
+
+    def test_cached_labels_leave_value_alone(self):
+        fresh = make_partition([{0, 3}, {1}, {2, 4}], 5)
+        used = make_partition([{0, 3}, {1}, {2, 4}], 5)
+        used.block_index_of()
+        join(used, used)
+        assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
+
+
 class TestDenseRelationGuard:
     """The dense relation is the specification only; a large universe fails fast."""
 
@@ -221,6 +244,24 @@ class TestPairRelationBasics:
     def test_out_of_range_pair(self):
         with pytest.raises(DomainError):
             PairRelation.from_pairs(2, [(0, 5)])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_transitivity_predicates_match_their_definitions(self, n):
+        rng = random.Random(n)
+        grid = list(itertools.product(range(n), repeat=2))
+        for _ in range(300):
+            members = {pair for pair in grid if rng.random() < 0.5}
+            r = PairRelation.from_pairs(n, members)
+            transitive = all(
+                (u, w) in members
+                for (u, v), (v2, w) in itertools.product(members, members)
+                if v == v2
+            )
+            anti = all(
+                (u, v) in members or (v, w) in members for u, w in members for v in range(n)
+            )
+            assert r.is_transitive() == transitive
+            assert r.is_anti_transitive() == anti
 
 
 # ----------------------------------------------------------------------
