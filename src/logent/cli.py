@@ -13,14 +13,13 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 from . import formats
 from .errors import LimitExceededError, LogentError, ParseError
 from .logical import (
     Distribution,
-    identification_probability,
     joint_logical_entropy,
     logical_conditional_joint,
     logical_divergence,
@@ -304,16 +303,7 @@ def _cmd_verify(args) -> CommandResult:
 
     suites = verification.run_all(max_n=args.max_n, seed=args.seed)
     failures = [s.name for s in suites if not s.passed]
-    report = [
-        {
-            "name": s.name,
-            "checks": s.checks,
-            "failures": s.failures,
-            "worst_residual": s.worst_residual,
-            "passed": s.passed,
-        }
-        for s in suites
-    ]
+    report = [{**asdict(s), "passed": s.passed} for s in suites]
     outputs = {
         "suites": (report, "report"),
         "all_passed": (not failures, "boolean"),

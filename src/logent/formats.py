@@ -22,24 +22,17 @@ from .partitions import Partition, make_partition
 def parse_partition(text: str, n: int | None = None) -> Partition:
     blocks: list[list[int]] = []
     for b, chunk in enumerate(text.strip().split("|")):
-        chunk = chunk.strip()
-        if not chunk:
+        if not chunk.strip():
             raise ParseError(f"empty block at position {b} in partition text {text!r}")
-        block = []
-        for token in chunk.split(","):
-            token = token.strip()
-            try:
-                block.append(int(token))
-            except ValueError:
-                raise ParseError(
-                    f"bad element index {token!r} in block {b} of partition text"
-                ) from None
-        blocks.append(block)
-    elements = [u for b in blocks for u in b]
-    if any(u < 0 for u in elements):
+        try:
+            blocks.append([int(t) for t in chunk.split(",")])  # int() strips whitespace
+        except ValueError:
+            raise ParseError(
+                f"bad element index in block {b} of partition text: {chunk!r}"
+            ) from None
+    if min(map(min, blocks)) < 0:
         raise ParseError("element indices must be nonnegative")
-    size = max(elements) + 1 if n is None else n
-    return make_partition(blocks, size)
+    return make_partition(blocks, max(map(max, blocks)) + 1 if n is None else n)
 
 
 def format_partition(partition: Partition) -> str:

@@ -10,12 +10,13 @@ That measure is fixed by block masses, so production never builds the pair
 space: a partition pair, like a joint distribution, becomes one table of
 block-intersection masses, and one formula per quantity is evaluated over it.
 :func:`product_measure` on a dit set is the specification it is checked against.
-The table is counted straight from the two partitions' cached element -> block
-labels, without building their join, and the last one built is kept: the
-conditional and mutual measures, logical and Shannon, of the same
-``(p, s, weights)`` objects share one table.  That memo is keyed by identity,
-not equality, since equal weights can be float or exact, and it is swapped in
-one assignment, so it is safe under threads.
+The cells are counted from the two partitions' cached element -> block
+labels, without building their join; the row and column sums are their own
+block masses, the numbers ``h(p)`` and :func:`block_probabilities` use.  The
+last table built is kept: the conditional and mutual measures, logical and
+Shannon, of the same ``(p, s, weights)`` objects share one table.  That memo
+is keyed by identity, not equality, since equal weights can be float or
+exact, and it is swapped in one assignment, so it is safe under threads.
 
 All functions are pure and numeric-type generic: feed them ``float`` entries
 for fast arithmetic or ``fractions.Fraction`` entries for exact arithmetic.
@@ -324,32 +325,30 @@ _last_table: tuple = (None, None, None, None)
 def _partition_table(p: Partition, s: Partition, weights: Distribution | None) -> _MassTable:
     """Nonempty intersections B & C of the blocks of p (rows) and s (columns).
 
-    Cells come in order of first element, the join's block order.  The last
-    table is reused when called again with the very same objects: the key is
-    identity, because equal weights may differ in kind (float or exact).
+    Cells come in order of first element, the join's block order; row and
+    column sums are the two partitions' own block masses, the numbers
+    :func:`logical_entropy_partition` and :func:`block_probabilities` use.
+    The last table is reused for the very same objects: the key is identity,
+    because equal weights may differ in kind (float or exact).
     """
     global _last_table
     _check_same_universe(p, s)
     last_p, last_s, last_weights, table = _last_table
     if p is last_p and s is last_s and weights is last_weights:
         return table
+    n = p.universe.size
+    rows, total, exact = _masses(p.blocks, n, weights)
+    cols = _masses(s.blocks, n, weights)[0]
     keys = zip(p._block_labels, s._block_labels)
     if weights is None:
         cells = tuple((i, j, m) for (i, j), m in Counter(keys).items())
-        total, exact = p.universe.size, False
     else:
         groups: dict = {}
         for u, key in enumerate(keys):
             groups.setdefault(key, []).append(u)
-        masses, total, exact = _masses(groups.values(), p.universe.size, weights)
+        masses = _masses(groups.values(), n, weights)[0]
         cells = tuple((i, j, m) for (i, j), m in zip(groups, masses))
-    rows, cols = [[] for _ in p.blocks], [[] for _ in s.blocks]
-    for i, j, m in cells:
-        rows[i].append(m)
-        cols[j].append(m)
-    table = _MassTable(
-        cells, tuple(map(_accumulate, rows)), tuple(map(_accumulate, cols)), total, exact
-    )
+    table = _MassTable(cells, tuple(rows), tuple(cols), total, exact)
     _last_table = (p, s, weights, table)
     return table
 

@@ -65,10 +65,6 @@ class Universe:
     def __post_init__(self) -> None:
         _check_positive("universe size", self.size)
 
-    @property
-    def pair_count(self) -> int:
-        return self.size * self.size
-
 
 @dataclass(frozen=True)
 class PairRelation:
@@ -266,10 +262,6 @@ class Partition:
     @property
     def n_blocks(self) -> int:
         return len(self.blocks)
-
-    @property
-    def is_discrete(self) -> bool:
-        return self.n_blocks == self.universe.size
 
     @property
     def is_indiscrete(self) -> bool:

@@ -45,6 +45,11 @@ def _std_error(values: np.ndarray) -> float:
     return float(np.std(values, ddof=1) / math.sqrt(values.size))
 
 
+def _report(values: np.ndarray, seed: int) -> SampleReport:
+    """The mean of ``values`` with its sample size and standard error."""
+    return SampleReport(float(values.mean()), values.size, _std_error(values), seed)
+
+
 def _per_draw(p: Distribution, count: int, seed: int, table: np.ndarray) -> np.ndarray:
     """``table[i]`` for the outcome ``i`` of each of stream draws 1 .. count."""
     values = np.empty(count)
@@ -67,12 +72,7 @@ def pair_distinction_rate(p: Distribution, trials: int, seed: int) -> SampleRepo
     distinct = np.empty(trials)
     for lo, indices in _index_chunks(seed, 0, 2 * trials, cumulative_weights(p.probs)):
         distinct[lo // 2 : (lo + indices.size) // 2] = indices[0::2] != indices[1::2]
-    return SampleReport(
-        estimate=float(distinct.mean()),
-        trials=trials,
-        std_error=_std_error(distinct),
-        seed=seed,
-    )
+    return _report(distinct, seed)
 
 
 def average_difference_rate(p: Distribution, sequence_length: int, seed: int) -> SampleReport:
@@ -83,12 +83,7 @@ def average_difference_rate(p: Distribution, sequence_length: int, seed: int) ->
     """
     _check_positive("sequence_length", sequence_length)
     values = _per_draw(p, sequence_length, seed, 1.0 - _float_probs(p))
-    return SampleReport(
-        estimate=float(values.mean()),
-        trials=sequence_length,
-        std_error=_std_error(values),
-        seed=seed,
-    )
+    return _report(values, seed)
 
 
 def typical_message_stats(
@@ -107,12 +102,7 @@ def typical_message_stats(
     log2_probs = np.log2(probs, out=np.zeros_like(probs), where=probs > 0)
     log_probs = _per_draw(p, samples * message_length, seed, log2_probs)
     per_message = -log_probs.reshape(samples, message_length).sum(axis=1) / message_length
-    return SampleReport(
-        estimate=float(per_message.mean()),
-        trials=samples,
-        std_error=_std_error(per_message),
-        seed=seed,
-    )
+    return _report(per_message, seed)
 
 
 def typical_count_log(p: Distribution, message_length: int) -> float:

@@ -319,12 +319,7 @@ def stirling_entropy(block_sizes, bits: bool = False) -> StirlingReport:
         - math.fsum(math.log(2 * math.pi * s) for s in sizes)
     ) / (2 * total)
     approx3 = approx2 + correction
-    if bits:
-        scale = 1.0 / math.log(2)
-        return StirlingReport(
-            s_exact=s_exact * scale,
-            approx2=approx2 * scale,
-            approx3=approx3 * scale,
-            unit="bits",
-        )
-    return StirlingReport(s_exact=s_exact, approx2=approx2, approx3=approx3)
+    scale = 1.0 / math.log(2) if bits else 1.0  # times 1.0 is exact: nats are unchanged
+    return StirlingReport(
+        s_exact * scale, approx2 * scale, approx3 * scale, "bits" if bits else "nats"
+    )

@@ -292,19 +292,6 @@ def run_measure_suites(max_n: int) -> list[SuiteResult]:
 # ----------------------------------------------------------------------
 
 
-def _lift(p: Partition, copies: int, index) -> Partition:
-    """Lift a partition of one factor of X x Y to the product.
-
-    Element u becomes the cells index(u, k) for the ``copies`` elements k of
-    the other factor, and each cell is labelled with the block of its u.
-    """
-    labels = [0] * (p.universe.size * copies)
-    for u, b in enumerate(p._block_labels):
-        for k in range(copies):
-            labels[index(u, k)] = b
-    return _from_labels(Universe(len(labels)), labels)
-
-
 def run_independence_suite(sizes: tuple[int, ...] = (2, 3, 4)) -> list[SuiteResult]:
     """Stochastically independent partition pairs on product universes.
 
@@ -321,20 +308,27 @@ def run_independence_suite(sizes: tuple[int, ...] = (2, 3, 4)) -> list[SuiteResu
 
     for nx in sizes:
         for ny in sizes:
+            universe = Universe(nx * ny)  # cell (x, y) of X x Y is element x * ny + y
             weights = Distribution.uniform_exact(nx * ny)
-            lifted_x = [_lift(p, ny, lambda x, y: x * ny + y) for p in enumerate_partitions(nx)]
-            lifted_y = [_lift(p, nx, lambda y, x: x * ny + y) for p in enumerate_partitions(ny)]
+            lifted_x = [
+                _from_labels(universe, [b for b in p._block_labels for _ in range(ny)])
+                for p in enumerate_partitions(nx)
+            ]
+            lifted_y = [
+                _from_labels(universe, p._block_labels * nx) for p in enumerate_partitions(ny)
+            ]
             hx = [logical_entropy_partition(p, weights) for p in lifted_x]
             hy = [logical_entropy_partition(p, weights) for p in lifted_y]
             for p, h_p in zip(lifted_x, hx):
                 for s, h_s in zip(lifted_y, hy):
                     m = logical_mutual_partition(p, s, weights)
-                    h_join = logical_entropy_partition(join(p, s), weights)
+                    joined = join(p, s)
+                    h_join = logical_entropy_partition(joined, weights)
                     multiplicative.exact(m == h_p * h_s)
                     identification.exact((1 - h_p) * (1 - h_s) == 1 - h_join)
                     shannon_zero.residual(shannon_mutual_partition(p, s))
                     shannon_additive.residual(
-                        shannon_entropy_partition(join(p, s))
+                        shannon_entropy_partition(joined)
                         - shannon_entropy_partition(p)
                         - shannon_entropy_partition(s)
                     )

@@ -20,6 +20,8 @@ from logent.logical import (
     DistanceMatrix,
     Distribution,
     JointDistribution,
+    _partition_table,
+    block_probabilities,
     identification_probability,
     joint_logical_entropy,
     logical_conditional_joint,
@@ -487,6 +489,34 @@ class TestPairTableAtTheDenseLimit:
                     assert type(value) is Fraction and value == product_measure(oracle, weights)
                 else:
                     assert value == pytest.approx(product_measure(oracle, weights), abs=1e-12)
+
+
+class TestPairTableMargins:
+    """A pair table's row and column sums are the two partitions' own block masses."""
+
+    @pytest.mark.parametrize("kind", ["unweighted", "exact", "float"])
+    def test_margins_are_block_probabilities(self, kind):
+        rng = random.Random(f"table-margins-{kind}")
+        for _ in range(200):
+            n = rng.randint(1, 64)
+            p, s = (
+                _from_labels(Universe(n), [rng.randrange(rng.randint(1, n)) for _ in range(n)])
+                for _ in range(2)
+            )
+            raw = [(rng.random() + 0.01) * rng.randint(0, 9) for _ in range(n)]
+            raw[rng.randrange(n)] += 1  # never all zero
+            total = sum(raw)
+            weights = {
+                "unweighted": None,
+                "exact": Distribution(tuple(Fraction(x) / Fraction(total) for x in raw)),
+                "float": Distribution(tuple(x / total for x in raw)),
+            }[kind]
+            table = _partition_table(p, s, weights)
+            shares = [
+                tuple(Fraction(m, table.total) if table.exact else m / table.total for m in sums)
+                for sums in (table.rows, table.cols)
+            ]
+            assert shares == [block_probabilities(p, weights), block_probabilities(s, weights)]
 
 
 class TestJointMeasures:

@@ -363,8 +363,10 @@ class TestStirling:
     def test_bits_flag(self):
         nats = stirling_entropy([6, 6])
         bits = stirling_entropy([6, 6], bits=True)
-        assert bits.unit == "bits"
-        assert bits.s_exact == pytest.approx(nats.s_exact / math.log(2), abs=1e-12)
+        assert nats.unit == "nats" and bits.unit == "bits"
+        scale = 1 / math.log(2)
+        for field in ("s_exact", "approx2", "approx3"):
+            assert getattr(bits, field) == getattr(nats, field) * scale
 
     def test_rejects_bad_input(self):
         with pytest.raises(DomainError):
