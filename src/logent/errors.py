@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by every module in the package, and the one size check."""
+"""Exception hierarchy shared by every module in the package, and the size and seed checks."""
 
 
 class LogentError(Exception):
@@ -41,3 +41,9 @@ def _check_positive(name: str, value) -> None:
     """Raise :class:`DomainError` unless ``value`` is a positive ``int`` (``bool`` excluded)."""
     if not isinstance(value, int) or isinstance(value, bool) or value < 1:
         raise DomainError(f"{name} must be a positive integer, got {value!r}")
+
+
+def _check_seed(seed) -> None:
+    """Raise :class:`DomainError` unless ``seed`` is an ``int`` (``bool`` excluded), used mod 2**64."""
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise DomainError(f"seed must be an integer, got {seed!r}")

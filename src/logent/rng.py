@@ -26,13 +26,15 @@ bucket's lowest word (Chen & Asau 1974; Devroye 1986, III.2.4); only a draw
 in a bucket that holds a step (about (k-1)/4096 of the draws for k outcomes)
 is searched.  The draws come in chunks of 2**16: since a draw depends only on
 its index, chunking changes no value, and a consumer that reads the chunks
-as they come never holds an index per draw.
+as they come never holds an index per draw.  The words are mixed in place.
 """
 from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import accumulate
 from typing import TYPE_CHECKING
+
+from .errors import _check_seed
 
 if TYPE_CHECKING:
     import numpy as np
@@ -57,6 +59,7 @@ class SplitMix64:
     """Scalar stream view of the generator; the k-th output is mix64(seed + k*gamma)."""
 
     def __init__(self, seed: int) -> None:
+        _check_seed(seed)
         self._state = seed & _MASK64
 
     def next_uint64(self) -> int:
@@ -76,11 +79,14 @@ def batch_uint64(seed: int, start: int, count: int) -> np.ndarray:
     """Outputs start+1 .. start+count of the stream, identical to the scalar view."""
     import numpy as np
 
-    k = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    z = np.uint64(seed & _MASK64) + k * np.uint64(GOLDEN_GAMMA)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX_1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX_2)
-    return z ^ (z >> np.uint64(31))
+    z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    np.multiply(z, np.uint64(GOLDEN_GAMMA), out=z)
+    np.add(z, np.uint64(seed & _MASK64), out=z)
+    scratch = np.empty_like(z)  # the finalizer runs in place on z
+    for shift, mix in ((30, _MIX_1), (27, _MIX_2)):
+        np.bitwise_xor(z, np.right_shift(z, np.uint64(shift), out=scratch), out=z)
+        np.multiply(z, np.uint64(mix), out=z)
+    return np.bitwise_xor(z, np.right_shift(z, np.uint64(31), out=scratch), out=z)
 
 
 def batch_units(seed: int, start: int, count: int) -> np.ndarray:

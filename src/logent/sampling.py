@@ -7,10 +7,11 @@ messages.  The estimators here check those limits empirically.
 
 Every run is a pure function of its arguments: the stream is SplitMix64 (see
 :mod:`logent.rng`), consumed in draw order, so two runs with the same seed
-produce bit-identical reports.  The draws are read one chunk at a time, so
-an estimator holds one float per value it averages, never an index per
-draw.  Standard errors come from the sample variance, not from analytic
-formulas, so they remain honest for arbitrary user-supplied distributions.
+produce bit-identical reports.  Each chunk of draws is written straight into
+the values, so an estimator holds 8 bytes per value it averages plus one
+chunk's word and index arrays, never an index per draw.  Standard errors come
+from the sample variance, taken in place on the consumed values, not from
+analytic formulas, so they remain honest for arbitrary user-supplied distributions.
 The typical-message check is a sampled one: real message ensembles only
 concentrate asymptotically, so membership of an exact typical set is not
 tested, only the convergence of the observed bits-per-letter.
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import _check_positive
+from .errors import _check_positive, _check_seed
 from .logical import Distribution
 from .rng import _index_chunks, cumulative_weights
 from .shannon import shannon_entropy_dist
@@ -46,15 +47,24 @@ def _std_error(values: np.ndarray) -> float:
 
 
 def _report(values: np.ndarray, seed: int) -> SampleReport:
-    """The mean of ``values`` with its sample size and standard error."""
-    return SampleReport(float(values.mean()), values.size, _std_error(values), seed)
+    """The mean of ``values`` with its size and standard error; consumes ``values``.
+
+    The variance is ``np.std(ddof=1)``'s arithmetic in place: ``_std_error`` bit for bit.
+    """
+    mean, n, std_error = values.mean(), values.size, 0.0
+    if n > 1 and values.min() != values.max():
+        np.subtract(values, mean, out=values)
+        np.square(values, out=values)
+        std_error = math.sqrt(values.sum() / (n - 1)) / math.sqrt(n)
+    return SampleReport(float(mean), n, std_error, seed)
 
 
 def _per_draw(p: Distribution, count: int, seed: int, table: np.ndarray) -> np.ndarray:
     """``table[i]`` for the outcome ``i`` of each of stream draws 1 .. count."""
     values = np.empty(count)
     for lo, indices in _index_chunks(seed, 0, count, cumulative_weights(p.probs)):
-        values[lo : lo + indices.size] = table[indices]
+        # every index is in range, so "clip" never acts; it spares "raise"'s buffered copy
+        np.take(table, indices, out=values[lo : lo + indices.size], mode="clip")
     return values
 
 
@@ -69,9 +79,10 @@ def pair_distinction_rate(p: Distribution, trials: int, seed: int) -> SampleRepo
     stream draws 2t-1 and 2t.
     """
     _check_positive("trials", trials)
+    _check_seed(seed)
     distinct = np.empty(trials)
     for lo, indices in _index_chunks(seed, 0, 2 * trials, cumulative_weights(p.probs)):
-        distinct[lo // 2 : (lo + indices.size) // 2] = indices[0::2] != indices[1::2]
+        np.not_equal(indices[0::2], indices[1::2], out=distinct[lo // 2 : (lo + indices.size) // 2])
     return _report(distinct, seed)
 
 
@@ -82,6 +93,7 @@ def average_difference_rate(p: Distribution, sequence_length: int, seed: int) ->
     uniform distribution every term is already 1 - 1/n.
     """
     _check_positive("sequence_length", sequence_length)
+    _check_seed(seed)
     values = _per_draw(p, sequence_length, seed, 1.0 - _float_probs(p))
     return _report(values, seed)
 
@@ -97,6 +109,7 @@ def typical_message_stats(
     """
     _check_positive("message_length", message_length)
     _check_positive("samples", samples)
+    _check_seed(seed)
     probs = _float_probs(p)
     # zero-mass outcomes are never drawn, so their entry is never read
     log2_probs = np.log2(probs, out=np.zeros_like(probs), where=probs > 0)

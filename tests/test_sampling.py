@@ -22,6 +22,7 @@ from logent.rng import (
     mix64,
 )
 from logent.sampling import (
+    _report,
     _std_error,
     average_difference_rate,
     pair_distinction_rate,
@@ -47,6 +48,13 @@ class TestGenerator:
         gen = SplitMix64(99)
         assert [gen.next_unit() for _ in range(100)] == units[:100].tolist()
 
+    @pytest.mark.parametrize("seed, start", [(2**64 - 1, 0), (5, 2**63), (2**64 - 1, 2**63)])
+    def test_batch_wraps_like_scalar(self, seed, start):
+        # seed + k * gamma passes 2**64 within these draws; both views reduce it mod 2**64
+        count = 1000
+        expected = [mix64(seed + k * 0x9E3779B97F4A7C15) for k in range(start + 1, start + count + 1)]
+        assert batch_uint64(seed, start, count).tolist() == expected
+
     def test_mix64_reference_values(self):
         # classic check: mix of 0 and of the golden gamma are distinct nonzero words
         assert mix64(0) == 0
@@ -54,6 +62,16 @@ class TestGenerator:
         gen = SplitMix64(0)
         first = gen.next_uint64()
         assert first == mix64(0x9E3779B97F4A7C15)
+
+    def test_negative_seed_is_taken_mod_2_64(self):
+        a, b = SplitMix64(-1), SplitMix64(2**64 - 1)
+        assert [a.next_uint64() for _ in range(5)] == [b.next_uint64() for _ in range(5)]
+        assert batch_uint64(-1, 0, 5).tolist() == batch_uint64(2**64 - 1, 0, 5).tolist()
+
+    @pytest.mark.parametrize("seed", [1.5, "7", True, None])
+    def test_rejects_non_integer_seed(self, seed):
+        with pytest.raises(DomainError):
+            SplitMix64(seed)
 
     def test_draw_index_right_closed_boundaries(self):
         cum = cumulative_weights((0.5, 0.0, 0.5))
@@ -235,6 +253,49 @@ class TestEstimatorsMatchSpec:
         assert (report.estimate, report.std_error) == expected
 
 
+def _report_cases():
+    r = np.random.default_rng(20261019)
+    cases = {f"size-{n}": r.normal(size=n) for n in (1, 2, 129, 1025)}
+    cases["constant"] = np.full(1000, 0.1)
+    cases["alternating"] = np.tile([0.0, 1.0], 10**6 // 2)
+    cases["offset-1e8"] = 1e8 + r.normal(scale=1e-3, size=10_000)
+    cases["log2-probs"] = np.log2(r.dirichlet(np.ones(7), size=4000).ravel())
+    return cases
+
+
+REPORT_CASES = _report_cases()
+
+
+class TestReportArithmetic:
+    """The in-place variance is np.std(ddof=1)'s arithmetic, bit for bit."""
+
+    @pytest.mark.parametrize("values", REPORT_CASES.values(), ids=REPORT_CASES.keys())
+    def test_report_equals_mean_and_std_error(self, values):
+        report = _report(values.copy(), 9)  # _report consumes its array
+        assert (report.estimate, report.std_error) == (float(values.mean()), _std_error(values))
+        assert (report.trials, report.seed) == (values.size, 9)
+
+
+@pytest.mark.parametrize("seed", [1.5, "7", True, None])
+@pytest.mark.parametrize(
+    "estimator, args",
+    [
+        (pair_distinction_rate, (3,)),
+        (average_difference_rate, (3,)),
+        (typical_message_stats, (3, 2)),
+    ],
+    ids=["pairs", "seqavg", "typical"],
+)
+def test_estimators_reject_non_integer_seed(estimator, args, seed):
+    with pytest.raises(DomainError):
+        estimator(Distribution((0.5, 0.5)), *args, seed)
+
+
+def test_estimators_accept_negative_seed():
+    p = Distribution((0.5, 1 / 3, 1 / 6))
+    assert pair_distinction_rate(p, 100, -1).estimate == pair_distinction_rate(p, 100, 2**64 - 1).estimate
+
+
 def _traced_peak(fn, *args):
     tracemalloc.start()
     try:
@@ -273,15 +334,10 @@ class TestPairDistinctionRate:
             pair_distinction_rate(Distribution.uniform(2), 0, 1)
 
     def test_memory_peak_stays_bounded(self):
-        # 2e6 draws keep an 8-byte index each (16 MB); the uniforms never exist all at once
-        p = Distribution((0.5, 0.3, 0.2))
-        tracemalloc.start()
-        try:
-            pair_distinction_rate(p, 10**6, 42)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 40 * 2**20
+        # one 8-byte flag per pair (7.6 MiB) plus one chunk's words and indices;
+        # no index per draw, and the variance needs no second array
+        peak = _traced_peak(pair_distinction_rate, Distribution((0.5, 0.3, 0.2)), 10**6, 42)
+        assert peak < 12 * 2**20
 
 
 class TestAverageDifferenceRate:
@@ -305,9 +361,9 @@ class TestAverageDifferenceRate:
         assert average_difference_rate(p, 5000, 17) == average_difference_rate(p, 5000, 17)
 
     def test_memory_peak_stays_bounded(self):
-        # one 8-byte value per draw (and one more inside np.std), never an index per draw
+        # one 8-byte value per draw plus one chunk's words and indices, never an index per draw
         peak = _traced_peak(average_difference_rate, Distribution((0.5, 0.3, 0.2)), 10**6, 7)
-        assert peak < 18 * 2**20
+        assert peak < 12 * 2**20
 
 
 class TestTypicalMessages:
@@ -339,7 +395,7 @@ class TestTypicalMessages:
     def test_memory_peak_stays_bounded(self):
         # one 8-byte log-probability per draw, never an index per draw
         peak = _traced_peak(typical_message_stats, Distribution((0.5, 0.3, 0.2)), 1000, 1000, 7)
-        assert peak < 14 * 2**20
+        assert peak < 12 * 2**20
 
     def test_count_log_rejects_bad_length(self):
         with pytest.raises(DomainError):
