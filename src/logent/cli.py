@@ -29,6 +29,7 @@ from .logical import (
     mixing_entropy,
 )
 from .partitions import (
+    DEFAULT_ENUMERATION_LIMIT,
     bell_number,
     enumerate_partitions,
     implication,
@@ -160,8 +161,8 @@ def _cmd_entropy(args) -> CommandResult:
         dits = _dit_count(partition)
         inputs = {"partition": formats.format_partition(partition), "weights": args.weights}
     else:
-        if args.weights is not None:
-            raise ParseError("weights apply only to partition inputs")
+        if args.weights is not None or args.n is not None:
+            raise ParseError("--weights and --n apply only to partition inputs")
         dist = formats.parse_distribution(text, exact=args.exact)
         h = logical_entropy_dist(dist)
         capital_h = shannon_entropy_dist(dist, base)
@@ -314,8 +315,10 @@ def _cmd_verify(args) -> CommandResult:
 
 
 def _cmd_lattice(args) -> CommandResult:
-    if not 1 <= args.n <= 12:
-        raise LimitExceededError(f"lattice summaries support 1 <= n <= 12, got {args.n}")
+    if not 1 <= args.n <= DEFAULT_ENUMERATION_LIMIT:
+        raise LimitExceededError(
+            f"lattice summaries support 1 <= n <= {DEFAULT_ENUMERATION_LIMIT}, got {args.n}"
+        )
     if args.dot and args.n > 6:
         raise LimitExceededError(f"DOT output needs n <= 6, got {args.n}")
     outputs: dict = {"bell_count": (bell_number(args.n), "count")}
@@ -340,18 +343,15 @@ def _cmd_sample(args) -> CommandResult:
     from . import sampling  # the only subcommand that needs numpy
 
     dist = formats.parse_distribution(_read_text(args.dist), exact=args.exact)
-    if args.mode == "pairs":
-        report = sampling.pair_distinction_rate(dist, args.trials, args.seed)
-        target = float(logical_entropy_dist(dist))
-        unit = PROBABILITY
-    elif args.mode == "seqavg":
-        report = sampling.average_difference_rate(dist, args.length, args.seed)
-        target = float(logical_entropy_dist(dist))
-        unit = PROBABILITY
-    else:  # typical
+    if args.mode == "typical":
         report = sampling.typical_message_stats(dist, args.length, args.samples, args.seed)
-        target = shannon_entropy_dist(dist)
-        unit = "bits"
+        target, unit = shannon_entropy_dist(dist), "bits"
+    else:  # both logical estimators converge to the logical entropy
+        if args.mode == "pairs":
+            report = sampling.pair_distinction_rate(dist, args.trials, args.seed)
+        else:
+            report = sampling.average_difference_rate(dist, args.length, args.seed)
+        target, unit = float(logical_entropy_dist(dist)), PROBABILITY
     outputs = {
         "estimate": (report.estimate, unit),
         "target": (target, unit),
@@ -441,14 +441,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dot", action="store_true", help="emit a DOT graph of cover edges")
     p.set_defaults(handler=_cmd_lattice)
 
-    p = sub.add_parser("sample", parents=[pretty, exact], help="seeded sampling experiments")
-    p.add_argument("mode", choices=["pairs", "seqavg", "typical"])
-    p.add_argument("dist")
-    p.add_argument("--trials", type=int, default=100_000)
-    p.add_argument("--length", type=int, default=1000, help="sequence or message length")
-    p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--seed", type=int, default=2024)
-    p.set_defaults(handler=_cmd_sample)
+    trials = _Parser(add_help=False)
+    trials.add_argument("--trials", type=int, default=100_000)
+    length = _Parser(add_help=False)
+    length.add_argument("--length", type=int, default=1000, help="sequence or message length")
+    samples = _Parser(add_help=False)
+    samples.add_argument("--samples", type=int, default=100)
+    modes = sub.add_parser("sample", help="seeded sampling experiments").add_subparsers(
+        dest="mode", required=True
+    )
+    for mode, own in (("pairs", [trials]), ("seqavg", [length]), ("typical", [length, samples])):
+        p = modes.add_parser(mode, parents=[pretty, exact, *own])
+        p.add_argument("dist")
+        p.add_argument("--seed", type=int, default=2024)
+        p.set_defaults(handler=_cmd_sample)
 
     p = sub.add_parser("stirling", parents=[pretty], help="multinomial entropy approximations")
     p.add_argument("sizes", help="comma-separated block sizes, e.g. 6,6")

@@ -494,15 +494,16 @@ def mixing_entropy(p: Distribution, q: Distribution) -> MixingReport:
     """h((p+q)/2) together with h(p||q) and [h(p)+h(q)]/2.
 
     Checks the exact relation h((p+q)/2) = h(p||q)/2 + [h(p)+h(q)]/4 and the
-    chain h(p||q) >= h((p+q)/2) >= [h(p)+h(q)]/2 before returning.
+    chain h(p||q) >= h((p+q)/2) >= [h(p)+h(q)]/2 before returning: exactly
+    when both inputs are exact, within ``IDENTITY_TOLERANCE`` otherwise.
     """
     _check_same_length(p, q)
     h_mix = logical_entropy_dist(p.mix(q))
     cross = logical_cross_entropy(p, q)
     mean_h = (logical_entropy_dist(p) + logical_entropy_dist(q)) / 2
     slack = 0 if (p.is_exact and q.is_exact) else IDENTITY_TOLERANCE
-    if abs(float(h_mix - cross / 2 - mean_h / 2)) > max(slack, IDENTITY_TOLERANCE):
+    if abs(h_mix - cross / 2 - mean_h / 2) > slack:
         raise LogentError("mixture identity violated beyond numeric tolerance")
-    if float(cross - h_mix) < -slack or float(h_mix - mean_h) < -slack:
+    if cross - h_mix < -slack or h_mix - mean_h < -slack:
         raise LogentError("mixing chain violated beyond numeric tolerance")
     return MixingReport(h_mix=h_mix, cross=cross, mean_h=mean_h)

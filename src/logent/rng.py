@@ -24,9 +24,9 @@ a draw is the number of these integer steps that are ``<= x``.  A guide
 table of 2**12 buckets, on the top 12 bits of ``x``, holds that count at each
 bucket's lowest word (Chen & Asau 1974; Devroye 1986, III.2.4); only a draw
 in a bucket that holds a step (about (k-1)/4096 of the draws for k outcomes)
-is searched.  The draws come in chunks of 2**16: since a draw depends only on
-its index, chunking changes no value, and a consumer that reads the chunks
-as they come never holds an index per draw.  The words are mixed in place.
+is searched.  The draws come in chunks of 15 * 2**10: since a draw depends
+only on its index, chunking changes no value, and a consumer that reads the
+chunks as they come never holds an index per draw.  The words are mixed in place.
 """
 from __future__ import annotations
 
@@ -34,7 +34,7 @@ from bisect import bisect_left
 from itertools import accumulate
 from typing import TYPE_CHECKING
 
-from .errors import _check_seed
+from .errors import DomainError, _check_seed
 
 if TYPE_CHECKING:
     import numpy as np
@@ -43,7 +43,7 @@ GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 _MIX_1 = 0xBF58476D1CE4E5B9
 _MIX_2 = 0x94D049BB133111EB
 _MASK64 = (1 << 64) - 1
-_CHUNK = 1 << 16  # even, so a chunk never splits a pair of draws
+_CHUNK = 15 << 10  # even: no pair is split; 120 KiB arrays: under malloc's 128 KiB mmap threshold
 _GUIDE_BITS = 12
 
 
@@ -75,10 +75,16 @@ class SplitMix64:
         return bisect_left(cumulative, self.next_unit())
 
 
+def _check_start(start) -> None:
+    if not isinstance(start, int) or isinstance(start, bool) or start < 0:
+        raise DomainError(f"start must be a nonnegative integer, got {start!r}")
+
+
 def batch_uint64(seed: int, start: int, count: int) -> np.ndarray:
     """Outputs start+1 .. start+count of the stream, identical to the scalar view."""
     import numpy as np
 
+    _check_start(start)
     z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
     np.multiply(z, np.uint64(GOLDEN_GAMMA), out=z)
     np.add(z, np.uint64(seed & _MASK64), out=z)
@@ -129,6 +135,7 @@ def _index_chunks(seed: int, start: int, count: int, cumulative: list[float]):
     """
     import numpy as np
 
+    _check_start(start)
     steps, table = _guide(cumulative)
     shift = np.uint64(64 - _GUIDE_BITS)
     for lo in range(0, count, _CHUNK):

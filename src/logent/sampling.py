@@ -9,9 +9,11 @@ Every run is a pure function of its arguments: the stream is SplitMix64 (see
 :mod:`logent.rng`), consumed in draw order, so two runs with the same seed
 produce bit-identical reports.  Each chunk of draws is written straight into
 the values, so an estimator holds 8 bytes per value it averages plus one
-chunk's word and index arrays, never an index per draw.  Standard errors come
-from the sample variance, taken in place on the consumed values, not from
-analytic formulas, so they remain honest for arbitrary user-supplied distributions.
+chunk's word and index arrays, never an index per draw.  The values reuse one
+buffer per thread, so a call neither faults in fresh pages nor leaves a large
+hole in malloc's heap.  Standard errors come from the sample variance, taken in
+place on the consumed values, not from analytic formulas, so they remain honest
+for arbitrary user-supplied distributions.
 The typical-message check is a sampled one: real message ensembles only
 concentrate asymptotically, so membership of an exact typical set is not
 tested, only the convergence of the observed bits-per-letter.
@@ -20,6 +22,7 @@ tested, only the convergence of the observed bits-per-letter.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +31,8 @@ from .errors import _check_positive, _check_seed
 from .logical import Distribution
 from .rng import _index_chunks, cumulative_weights
 from .shannon import shannon_entropy_dist
+
+_scratch = threading.local()
 
 
 @dataclass(frozen=True)
@@ -46,6 +51,14 @@ def _std_error(values: np.ndarray) -> float:
     return float(np.std(values, ddof=1) / math.sqrt(values.size))
 
 
+def _values(count: int) -> np.ndarray:
+    """This thread's float64 buffer for ``count`` values, reused by its next call."""
+    if getattr(_scratch, "values", np.empty(0)).size < count:
+        _scratch.values = None  # the old buffer goes before the new one comes
+        _scratch.values = np.empty(count)
+    return _scratch.values[:count]
+
+
 def _report(values: np.ndarray, seed: int) -> SampleReport:
     """The mean of ``values`` with its size and standard error; consumes ``values``.
 
@@ -61,15 +74,11 @@ def _report(values: np.ndarray, seed: int) -> SampleReport:
 
 def _per_draw(p: Distribution, count: int, seed: int, table: np.ndarray) -> np.ndarray:
     """``table[i]`` for the outcome ``i`` of each of stream draws 1 .. count."""
-    values = np.empty(count)
+    values = _values(count)
     for lo, indices in _index_chunks(seed, 0, count, cumulative_weights(p.probs)):
         # every index is in range, so "clip" never acts; it spares "raise"'s buffered copy
         np.take(table, indices, out=values[lo : lo + indices.size], mode="clip")
     return values
-
-
-def _float_probs(p: Distribution) -> np.ndarray:
-    return np.asarray([float(q) for q in p.probs])
 
 
 def pair_distinction_rate(p: Distribution, trials: int, seed: int) -> SampleReport:
@@ -80,7 +89,7 @@ def pair_distinction_rate(p: Distribution, trials: int, seed: int) -> SampleRepo
     """
     _check_positive("trials", trials)
     _check_seed(seed)
-    distinct = np.empty(trials)
+    distinct = _values(trials)
     for lo, indices in _index_chunks(seed, 0, 2 * trials, cumulative_weights(p.probs)):
         np.not_equal(indices[0::2], indices[1::2], out=distinct[lo // 2 : (lo + indices.size) // 2])
     return _report(distinct, seed)
@@ -94,7 +103,7 @@ def average_difference_rate(p: Distribution, sequence_length: int, seed: int) ->
     """
     _check_positive("sequence_length", sequence_length)
     _check_seed(seed)
-    values = _per_draw(p, sequence_length, seed, 1.0 - _float_probs(p))
+    values = _per_draw(p, sequence_length, seed, 1.0 - np.array(p.probs, dtype=float))
     return _report(values, seed)
 
 
@@ -110,7 +119,7 @@ def typical_message_stats(
     _check_positive("message_length", message_length)
     _check_positive("samples", samples)
     _check_seed(seed)
-    probs = _float_probs(p)
+    probs = np.array(p.probs, dtype=float)
     # zero-mass outcomes are never drawn, so their entry is never read
     log2_probs = np.log2(probs, out=np.zeros_like(probs), where=probs > 0)
     log_probs = _per_draw(p, samples * message_length, seed, log2_probs)

@@ -16,12 +16,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, LogentError, SizeMismatchError, _check_positive
+from .errors import DomainError, LogentError, _check_positive
 from .logical import (
     Distribution,
     JointDistribution,
     _joint_table,
     _MassTable,
+    _check_same_length,
     _partition_table,
     block_probabilities,
 )
@@ -130,8 +131,7 @@ def shannon_mutual_partition(
 
 def _support_sum(p: Distribution, q: Distribution, term) -> float:
     """sum of term(p_i, q_i) where p_i > 0; inf when q lacks mass there."""
-    if len(p) != len(q):
-        raise SizeMismatchError(f"distributions of length {len(p)} and {len(q)}")
+    _check_same_length(p, q)
     total = 0.0
     for a, b in zip(p.probs, q.probs):
         if a <= 0:

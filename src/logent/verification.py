@@ -42,7 +42,6 @@ from .partitions import (
     interior,
     join,
     meet,
-    mutual_dit_set,
     mutual_dit_set_blockform,
     partition_from_equivalence,
     refines,
@@ -111,9 +110,9 @@ class _Tally:
 # ----------------------------------------------------------------------
 
 
-def random_distribution(gen: SplitMix64, n: int, floor: float = 0.05) -> Distribution:
-    """A random vector with components bounded away from zero, normalized."""
-    raw = [floor + (1.0 - floor) * gen.next_unit() for _ in range(n)]
+def random_distribution(gen: SplitMix64, n: int) -> Distribution:
+    """A random vector with components at least 0.05 before normalizing."""
+    raw = [0.05 + 0.95 * gen.next_unit() for _ in range(n)]
     total = _left_sum(raw)
     return Distribution(tuple(v / total for v in raw))
 
@@ -184,9 +183,9 @@ def run_lattice_suites(max_n: int) -> list[SuiteResult]:
             for j, s in enumerate(parts):
                 join_union.exact(dit_bits(join(p, s)) == (dits[i].bits | dits[j].bits))
 
+                mut = dits[i] & dits[j]
                 met = meet(p, s)
-                interior_bits = interior(dits[i] & dits[j]).bits
-                meet_interior.exact(dit_bits(met) == interior_bits)
+                meet_interior.exact(dit_bits(met) == interior(mut).bits)
                 meet_closure.exact(
                     met == partition_from_equivalence(rst_closure(indits[i] | indits[j]))
                 )
@@ -198,7 +197,6 @@ def run_lattice_suites(max_n: int) -> list[SuiteResult]:
                     refines(s, p) == dits[j].issubset(dits[i]) == (arrow == discrete)
                 )
 
-                mut = mutual_dit_set(p, s)
                 mut_structure.exact(mut.bits == mutual_dit_set_blockform(p, s).bits)
                 if not dits[i].is_empty and not dits[j].is_empty:
                     mut_nonempty.exact(not mut.is_empty)
@@ -208,7 +206,7 @@ def run_lattice_suites(max_n: int) -> list[SuiteResult]:
     return [t.result() for t in suite]
 
 
-def run_closure_operator_suite(max_n: int = 4, seed: int = 2024, samples: int = 400) -> list[SuiteResult]:
+def run_closure_operator_suite(max_n: int = 4, seed: int = 2024) -> list[SuiteResult]:
     """Closure/interior operator laws on random and dit-derived relations."""
     suite: list[_Tally] = []
     closure_laws = _Tally("rst_closure_idempotent_extensive_monotone", suite)
@@ -222,7 +220,7 @@ def run_closure_operator_suite(max_n: int = 4, seed: int = 2024, samples: int = 
             relations.extend(PairRelation(universe, b) for b in range(mask + 1))
         else:
             relations.extend(
-                PairRelation(universe, gen.next_uint64() & mask) for _ in range(samples)
+                PairRelation(universe, gen.next_uint64() & mask) for _ in range(400)
             )
         for rel in relations:
             closed = rst_closure(rel)
@@ -292,7 +290,7 @@ def run_measure_suites(max_n: int) -> list[SuiteResult]:
 # ----------------------------------------------------------------------
 
 
-def run_independence_suite(sizes: tuple[int, ...] = (2, 3, 4)) -> list[SuiteResult]:
+def run_independence_suite() -> list[SuiteResult]:
     """Stochastically independent partition pairs on product universes.
 
     Any partition of X lifted by rows is independent of any partition of Y
@@ -306,8 +304,8 @@ def run_independence_suite(sizes: tuple[int, ...] = (2, 3, 4)) -> list[SuiteResu
     shannon_zero = _Tally("independent_shannon_mutual_zero", suite)
     shannon_additive = _Tally("independent_shannon_join_additive", suite)
 
-    for nx in sizes:
-        for ny in sizes:
+    for nx in (2, 3, 4):
+        for ny in (2, 3, 4):
             universe = Universe(nx * ny)  # cell (x, y) of X x Y is element x * ny + y
             weights = Distribution.uniform_exact(nx * ny)
             lifted_x = [
@@ -319,8 +317,10 @@ def run_independence_suite(sizes: tuple[int, ...] = (2, 3, 4)) -> list[SuiteResu
             ]
             hx = [logical_entropy_partition(p, weights) for p in lifted_x]
             hy = [logical_entropy_partition(p, weights) for p in lifted_y]
-            for p, h_p in zip(lifted_x, hx):
-                for s, h_s in zip(lifted_y, hy):
+            capital_hx = [shannon_entropy_partition(p) for p in lifted_x]
+            capital_hy = [shannon_entropy_partition(p) for p in lifted_y]
+            for p, h_p, capital_h_p in zip(lifted_x, hx, capital_hx):
+                for s, h_s, capital_h_s in zip(lifted_y, hy, capital_hy):
                     m = logical_mutual_partition(p, s, weights)
                     joined = join(p, s)
                     h_join = logical_entropy_partition(joined, weights)
@@ -328,9 +328,7 @@ def run_independence_suite(sizes: tuple[int, ...] = (2, 3, 4)) -> list[SuiteResu
                     identification.exact((1 - h_p) * (1 - h_s) == 1 - h_join)
                     shannon_zero.residual(shannon_mutual_partition(p, s))
                     shannon_additive.residual(
-                        shannon_entropy_partition(joined)
-                        - shannon_entropy_partition(p)
-                        - shannon_entropy_partition(s)
+                        shannon_entropy_partition(joined) - capital_h_p - capital_h_s
                     )
 
     return [t.result() for t in suite]
@@ -341,7 +339,7 @@ def run_independence_suite(sizes: tuple[int, ...] = (2, 3, 4)) -> list[SuiteResu
 # ----------------------------------------------------------------------
 
 
-def run_divergence_suite(seed: int = 2024, pairs: int = 10_000) -> list[SuiteResult]:
+def run_divergence_suite(seed: int = 2024) -> list[SuiteResult]:
     """Divergence positivity, the Jensen difference, and the mixing chain."""
     suite: list[_Tally] = []
     nonneg = _Tally("divergences_nonnegative_zero_iff_equal", suite)
@@ -350,7 +348,7 @@ def run_divergence_suite(seed: int = 2024, pairs: int = 10_000) -> list[SuiteRes
     cross_sym = _Tally("logical_cross_entropy_symmetric", suite)
 
     gen = SplitMix64(seed)
-    for k in range(pairs):
+    for k in range(10_000):
         n = 2 + gen.next_uint64() % 7
         p = random_distribution(gen, int(n))
         q = p if k % 10 == 0 else random_distribution(gen, int(n))
@@ -360,11 +358,9 @@ def run_divergence_suite(seed: int = 2024, pairs: int = 10_000) -> list[SuiteRes
             nonneg.exact(d == 0 and kl == 0)
         else:
             nonneg.exact(d > 0 and kl > 0)
-        h_p, h_q = logical_entropy_dist(p), logical_entropy_dist(q)
-        cross = logical_cross_entropy(p, q)
-        jensen.residual(d - (cross - (h_p + h_q) / 2))
-        cross_sym.residual(cross - logical_cross_entropy(q, p))
         report = mixing_entropy(p, q)
+        jensen.residual(d - (report.cross - report.mean_h))
+        cross_sym.residual(report.cross - logical_cross_entropy(q, p))
         mixing.residual(report.h_mix - report.cross / 2 - report.mean_h / 2)
         mixing.exact(
             report.cross >= report.h_mix - RESIDUAL_BOUND
@@ -385,7 +381,7 @@ def _brute_force(joint: JointDistribution, same_y: bool) -> float:
     )
 
 
-def run_joint_suites(seed: int = 2024, count: int = 400) -> list[SuiteResult]:
+def run_joint_suites(seed: int = 2024) -> list[SuiteResult]:
     """Venn identities on random joint distributions, logical and Shannon."""
     suite: list[_Tally] = []
     venn_logical = _Tally("joint_logical_venn_identities", suite)
@@ -395,12 +391,13 @@ def run_joint_suites(seed: int = 2024, count: int = 400) -> list[SuiteResult]:
     product_case = _Tally("product_joint_independence_laws", suite)
 
     gen = SplitMix64(seed)
-    for k in range(count):
+    for k in range(400):
         nx = 2 + int(gen.next_uint64() % 3)
         ny = 2 + int(gen.next_uint64() % 3)
         joint = random_joint(gen, nx, ny, zero_rate=0.15 if k % 3 == 0 else 0.0)
-        hx = logical_entropy_dist(Distribution(joint.marginal_x))
-        hy = logical_entropy_dist(Distribution(joint.marginal_y))
+        marginal_x, marginal_y = Distribution(joint.marginal_x), Distribution(joint.marginal_y)
+        flat = joint.flatten()
+        hx, hy = logical_entropy_dist(marginal_x), logical_entropy_dist(marginal_y)
         hxy = joint_logical_entropy(joint)
         m = logical_mutual_joint(joint)
         cxy = logical_conditional_joint(joint, "y")
@@ -410,9 +407,9 @@ def run_joint_suites(seed: int = 2024, count: int = 400) -> list[SuiteResult]:
         venn_logical.residual(m - (hx + hy - hxy))
         venn_logical.residual((1 - hxy) - (1 - hx) * (1 - hy) - (m - hx * hy))
 
-        capital_hx = shannon_entropy_dist(Distribution(joint.marginal_x))
-        capital_hy = shannon_entropy_dist(Distribution(joint.marginal_y))
-        capital_hxy = shannon_entropy_dist(joint.flatten())
+        capital_hx = shannon_entropy_dist(marginal_x)
+        capital_hy = shannon_entropy_dist(marginal_y)
+        capital_hxy = shannon_entropy_dist(flat)
         mutual = shannon_mutual_joint(joint)
         venn_shannon.residual(
             shannon_conditional_joint(joint, "y") - (capital_hxy - capital_hy)
@@ -422,10 +419,7 @@ def run_joint_suites(seed: int = 2024, count: int = 400) -> list[SuiteResult]:
         )
         venn_shannon.residual(mutual - (capital_hx + capital_hy - capital_hxy))
         venn_shannon.exact(mutual >= -RESIDUAL_BOUND)
-        kl_form.residual(
-            mutual
-            - kl_divergence(joint.flatten(), joint.product_of_marginals().flatten())
-        )
+        kl_form.residual(mutual - kl_divergence(flat, joint.product_of_marginals().flatten()))
 
         if k < 100:
             pair_space.residual(cxy - _brute_force(joint, same_y=True))
@@ -444,15 +438,15 @@ def run_joint_suites(seed: int = 2024, count: int = 400) -> list[SuiteResult]:
     return [t.result() for t in suite]
 
 
-def run_dit_bit_suite(seed: int = 2024, grid: int = 1000, cases: int = 1000) -> list[SuiteResult]:
+def run_dit_bit_suite(seed: int = 2024) -> list[SuiteResult]:
     """Round trips of the conversion formulas and the compound transforms."""
     suite: list[_Tally] = []
     roundtrip = _Tally("dit_bit_roundtrip", suite)
     equiprobable = _Tally("equiprobable_set_conversions", suite)
     transforms = _Tally("compound_transforms_match_direct", suite)
 
-    for i in range(grid):
-        h0 = 0.999 * i / (grid - 1)
+    for i in range(1000):
+        h0 = 0.999 * i / 999
         roundtrip.residual(bit_to_dit(dit_to_bit(h0)) - h0)
     for k in range(2, 65):
         p0 = 1.0 / k
@@ -460,7 +454,7 @@ def run_dit_bit_suite(seed: int = 2024, grid: int = 1000, cases: int = 1000) -> 
         equiprobable.residual(bit_to_dit(shannon_hartley(p0)) - (1.0 - p0))
 
     gen = SplitMix64(seed)
-    for _ in range(cases):
+    for _ in range(1000):
         n = 2 + int(gen.next_uint64() % 7)
         p = random_distribution(gen, n)
         q = random_distribution(gen, n)

@@ -93,7 +93,7 @@ def test_criterion_2_exact_rational_measure_identities():
 
 
 def test_criterion_3_independence_theorem():
-    suites = run_independence_suite(sizes=(2, 3, 4))
+    suites = run_independence_suite()
     _require_all(suites)
     by_name = {s.name: s for s in suites}
     lifted_pairs = sum(
@@ -131,7 +131,7 @@ def test_criterion_4_bound_values():
 
 
 def test_criterion_5_dit_bit_bridge():
-    suites = run_dit_bit_suite(seed=2024, grid=1000, cases=1000)
+    suites = run_dit_bit_suite(seed=2024)
     _require_all(suites)
     by_name = {s.name: s for s in suites}
     assert by_name["dit_bit_roundtrip"].checks == 1000
@@ -146,15 +146,16 @@ def test_criterion_5_dit_bit_bridge():
 
 
 def test_criterion_6_divergence_suite():
-    suites = run_divergence_suite(seed=2024, pairs=10_000)
+    suites = run_divergence_suite(seed=2024)
     _require_all(suites)
     by_name = {s.name: s for s in suites}
     assert by_name["divergences_nonnegative_zero_iff_equal"].checks == 10_000
     assert by_name["logical_divergence_jensen_difference"].worst_residual <= TOLERANCE
     assert by_name["mixing_identity_and_chain"].worst_residual <= TOLERANCE
-    joint_suites = run_joint_suites(seed=2024, count=400)
+    joint_suites = run_joint_suites(seed=2024)
     _require_all(joint_suites)
     kl = {s.name: s for s in joint_suites}["shannon_mutual_equals_kl_to_product"]
+    assert kl.checks == 400
     assert kl.worst_residual <= TOLERANCE
     _report(
         "C6",

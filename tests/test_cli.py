@@ -64,6 +64,11 @@ class TestEntropyCommand:
         assert code == 1
         assert "partition" in err
 
+    def test_universe_size_on_distribution_rejected(self, capsys):
+        code, _, err = run(capsys, "entropy", "1/2,1/2", "--n", "5")
+        assert code == 1
+        assert "partition" in err
+
     def test_base_e(self, capsys):
         code, out, _ = run(capsys, "entropy", "0|1", "--base", "e")
         assert out["outputs"]["H"] == pytest.approx(math.log(2))
@@ -307,6 +312,12 @@ class TestOutputContract:
             ["sample", "typical", "1/2,1/2", "--base", "e"],
             ["ops", "join", "0,1|2", "0|1,2", "--exact"],
             ["lattice", "3", "--base", "e"],
+            ["sample", "pairs", "1/2,1/2", "--trials", "10", "--length", "5", "--samples", "3"],
+            ["sample", "pairs", "1/2,1/2", "--length", "5"],
+            ["sample", "pairs", "1/2,1/2", "--samples", "3"],
+            ["sample", "seqavg", "1/2,1/2", "--trials", "10"],
+            ["sample", "seqavg", "1/2,1/2", "--samples", "3"],
+            ["sample", "typical", "1/2,1/2", "--trials", "10"],
         ],
     )
     def test_options_a_subcommand_does_not_read_are_rejected(self, capsys, argv):

@@ -14,6 +14,7 @@ from logent.errors import (
     DomainError,
     InvalidDistanceMatrixError,
     InvalidDistributionError,
+    LogentError,
     SizeMismatchError,
 )
 from logent.logical import (
@@ -698,3 +699,17 @@ class TestMixing:
         assert report.h_mix == Fraction(15, 32)
         assert report.h_mix == report.cross / 2 + (report.mean_h * 2) / 4
         assert report.cross >= report.h_mix >= report.mean_h
+
+    def test_exact_inputs_must_meet_the_identity_exactly(self, monkeypatch):
+        import logent.logical
+
+        exact_cross = logent.logical.logical_cross_entropy
+        monkeypatch.setattr(
+            logent.logical,
+            "logical_cross_entropy",
+            lambda p, q: exact_cross(p, q) + Fraction(1, 10**20),
+        )
+        p = Distribution((Fraction(1, 2), Fraction(1, 2)))
+        q = Distribution((Fraction(1, 4), Fraction(3, 4)))
+        with pytest.raises(LogentError):
+            mixing_entropy(p, q)

@@ -260,8 +260,14 @@ class TestPairRelationBasics:
             anti = all(
                 (u, v) in members or (v, w) in members for u, w in members for v in range(n)
             )
+            reflexive = all((u, u) in members for u in range(n))
+            irreflexive = not any((u, u) in members for u in range(n))
+            symmetric = all((v, u) in members for u, v in members)
             assert r.is_transitive() == transitive
             assert r.is_anti_transitive() == anti
+            assert r.is_reflexive() == reflexive
+            assert r.is_irreflexive() == irreflexive
+            assert r.is_symmetric() == symmetric
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 from bisect import bisect_left
 from fractions import Fraction
@@ -73,6 +74,17 @@ class TestGenerator:
         with pytest.raises(DomainError):
             SplitMix64(seed)
 
+    @pytest.mark.parametrize("start", [-3, -1, 1.0, "0", True, None])
+    def test_batch_views_reject_a_bad_start(self, start):
+        cum = cumulative_weights((0.5, 0.5))
+        for call in (
+            lambda: batch_uint64(0, start, 5),
+            lambda: batch_units(0, start, 5),
+            lambda: batch_indices(0, start, 5, cum),
+        ):
+            with pytest.raises(DomainError):
+                call()
+
     def test_draw_index_right_closed_boundaries(self):
         cum = cumulative_weights((0.5, 0.0, 0.5))
         assert cum == [0.5, 0.5, 1.0]
@@ -114,7 +126,7 @@ class TestGenerator:
     @pytest.mark.parametrize("start", [0, 12345])
     @pytest.mark.parametrize("count", [2**16 - 1, 2**16, 2**16 + 1, 3 * 2**16 + 5])
     def test_chunked_draws_equal_one_shot(self, count, start):
-        # the draws come in chunks of 2**16; a chunk edge must not move any draw
+        # these counts span several chunks; a chunk edge must not move any draw
         cum = cumulative_weights((0.3, 0.0, 0.45, 0.25))
         one_shot = np.searchsorted(cum, batch_units(5, start, count), side="left")
         chunked = batch_indices(5, start, count, cum)
@@ -189,7 +201,11 @@ class TestGuideKernel:
         assert np.array_equal(batch_indices(3, start, count, cum), expected)
 
     @pytest.mark.parametrize("start", [0, 12345])
-    @pytest.mark.parametrize("count", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5])
+    # the chunk edges, and counts that end inside a chunk
+    @pytest.mark.parametrize(
+        "count",
+        [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5, 2**16 - 1, 2**16, 2**16 + 1, 3 * 2**16 + 5],
+    )
     def test_chunks_tile_the_draws(self, count, start):
         cum = cumulative_weights((0.3, 0.0, 0.45, 0.25))
         chunks = list(_index_chunks(5, start, count, cum))
@@ -420,6 +436,43 @@ class TestConvergenceFamily:
         fine = typical_message_stats(p, 10_000, 40, 5)
         assert abs(fine.estimate - 1.5) < abs(coarse.estimate - 1.5)
         assert fine.std_error < coarse.std_error
+
+
+class TestValuesBuffer:
+    """The estimators' values buffer is kept per thread and reused from call to call."""
+
+    def test_chunk_arrays_stay_under_the_mapping_threshold(self):
+        # 8-byte words and indices below malloc's default 128 KiB mmap threshold
+        assert _CHUNK % 2 == 0 and 8 * _CHUNK < 128 * 2**10
+
+    def test_repeated_call_allocates_no_new_values(self):
+        p = Distribution((0.5, 0.3, 0.2))
+        first = pair_distinction_rate(p, 10**6, 42)
+        peak = _traced_peak(pair_distinction_rate, p, 10**6, 42)
+        assert peak < 2**20  # one chunk's arrays, not another 7.6 MiB of flags
+        assert pair_distinction_rate(p, 10**6, 42) == first
+
+    def test_a_larger_call_before_leaves_no_trace(self):
+        p = Distribution((0.5, 0.3, 0.2))
+        small = [average_difference_rate(p, 1000, 5), pair_distinction_rate(p, 999, 6)]
+        average_difference_rate(p, 50_000, 7)  # fills more of the buffer with other values
+        assert [average_difference_rate(p, 1000, 5), pair_distinction_rate(p, 999, 6)] == small
+
+    def test_threads_do_not_share_values(self):
+        p = Distribution((0.5, 1 / 3, 1 / 6))
+        seeds = range(20, 26)
+        expected = [pair_distinction_rate(p, 200_000, s) for s in seeds]
+        got = [None] * len(expected)
+
+        def run(k, seed):
+            got[k] = pair_distinction_rate(p, 200_000, seed)
+
+        threads = [threading.Thread(target=run, args=ks) for ks in enumerate(seeds)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert got == expected
 
 
 class TestReportShape:
