@@ -298,8 +298,8 @@ def _cmd_compare(args) -> CommandResult:
 
 
 def _cmd_verify(args) -> CommandResult:
-    if not 2 <= args.max_n <= 6:
-        raise LimitExceededError(f"verify sweeps support 2 <= max-n <= 6, got {args.max_n}")
+    if not 2 <= args.max_n <= 7:
+        raise LimitExceededError(f"verify sweeps support 2 <= max-n <= 7, got {args.max_n}")
     from . import verification
 
     suites = verification.run_all(max_n=args.max_n, seed=args.seed)

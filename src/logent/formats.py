@@ -25,7 +25,7 @@ def parse_partition(text: str, n: int | None = None) -> Partition:
         if not chunk.strip():
             raise ParseError(f"empty block at position {b} in partition text {text!r}")
         try:
-            blocks.append([int(t) for t in chunk.split(",")])  # int() strips whitespace
+            blocks.append(list(map(int, chunk.split(","))))  # int() strips whitespace
         except ValueError:
             raise ParseError(
                 f"bad element index in block {b} of partition text: {chunk!r}"

@@ -10,9 +10,9 @@ That measure is fixed by block masses, so production never builds the pair
 space: a partition pair, like a joint distribution, becomes one table of
 block-intersection masses, and one formula per quantity is evaluated over it.
 :func:`product_measure` on a dit set is the specification it is checked against.
-The cells are counted from the two partitions' cached element -> block
-labels, without building their join; the row and column sums are their own
-block masses, the numbers ``h(p)`` and :func:`block_probabilities` use.  The
+The cells are the classes of the two partitions' paired labels, massed
+without building their join; the row and column sums are their own block
+masses, the numbers ``h(p)`` and :func:`block_probabilities` use.  The
 last table built is kept: the conditional and mutual measures, logical and
 Shannon, of the same ``(p, s, weights)`` objects share one table.  That memo
 is keyed by identity, not equality, since equal weights can be float or
@@ -281,22 +281,28 @@ def identification_probability(p: Distribution):
     return _accumulate(q * q for q in p.probs)
 
 
-def _masses(groups, n: int, weights: Distribution | None) -> tuple:
-    """Masses of element groups, their total T, and whether the path is exact.
+def _masses(labels: Iterable, n: int, weights: Distribution | None) -> tuple:
+    """Masses of the classes of a labelling of 0..n-1, their total T, and whether exact.
 
-    Unweighted: sizes with T = n.  Exact weights: sums of the integer
-    numerators with T = D, their common denominator.  Float weights: weight
-    sums with T = 1.
+    Masses come as label -> mass in order of first appearance (block order
+    for a partition).  Unweighted: sizes with T = n.  Exact weights: sums of
+    the integer numerators with T = D, their common denominator.  Float
+    weights: weight sums with T = 1.
     """
     if weights is None:
-        return [len(g) for g in groups], n, False
+        return Counter(labels), n, False
     if len(weights) != n:
         raise SizeMismatchError(f"weights of length {len(weights)} for a universe of size {n}")
     if weights.is_exact:
         nums, denominator = weights._integers
-        return [sum(nums[u] for u in g) for g in groups], denominator, True
-    probs = weights.probs
-    return [_accumulate(probs[u] for u in g) for g in groups], 1, False
+        masses: dict = {}
+        for label, num in zip(labels, nums):
+            masses[label] = masses.get(label, 0) + num
+        return masses, denominator, True
+    groups: dict = {}
+    for label, q in zip(labels, weights.probs):
+        groups.setdefault(label, []).append(q)
+    return {label: _accumulate(g) for label, g in groups.items()}, 1, False
 
 
 def _ratio(numerator, denominator, exact: bool):
@@ -337,18 +343,13 @@ def _partition_table(p: Partition, s: Partition, weights: Distribution | None) -
     if p is last_p and s is last_s and weights is last_weights:
         return table
     n = p.universe.size
-    rows, total, exact = _masses(p.blocks, n, weights)
-    cols = _masses(s.blocks, n, weights)[0]
-    keys = zip(p._block_labels, s._block_labels)
-    if weights is None:
-        cells = tuple((i, j, m) for (i, j), m in Counter(keys).items())
-    else:
-        groups: dict = {}
-        for u, key in enumerate(keys):
-            groups.setdefault(key, []).append(u)
-        masses = _masses(groups.values(), n, weights)[0]
-        cells = tuple((i, j, m) for (i, j), m in zip(groups, masses))
-    table = _MassTable(cells, tuple(rows), tuple(cols), total, exact)
+    rows, total, exact = _masses(p.labels, n, weights)
+    cols = _masses(s.labels, n, weights)[0]
+    cells = _masses(zip(p.labels, s.labels), n, weights)[0]
+    table = _MassTable(
+        tuple((i, j, m) for (i, j), m in cells.items()),
+        tuple(rows.values()), tuple(cols.values()), total, exact,
+    )
     _last_table = (p, s, weights, table)
     return table
 
@@ -386,14 +387,14 @@ def logical_entropy_partition(partition: Partition, weights: Distribution | None
 
     That is |dit|/n^2 unweighted (T = n, m_B = |B|) and mu(dit) under weights.
     """
-    masses, total, exact = _masses(partition.blocks, partition.universe.size, weights)
-    return _ratio(total * total - _accumulate(m * m for m in masses), total * total, exact)
+    masses, total, exact = _masses(partition.labels, partition.universe.size, weights)
+    return _ratio(total * total - _accumulate(m * m for m in masses.values()), total * total, exact)
 
 
 def block_probabilities(partition: Partition, weights: Distribution | None = None) -> tuple:
     """p_B for each block: the share of weight (or of elements) it carries."""
-    masses, total, exact = _masses(partition.blocks, partition.universe.size, weights)
-    return tuple(_ratio(m, total, exact) for m in masses)
+    masses, total, exact = _masses(partition.labels, partition.universe.size, weights)
+    return tuple(_ratio(m, total, exact) for m in masses.values())
 
 
 def logical_conditional_partition(

@@ -4,8 +4,8 @@ The carrier is always the index set {0, .., n-1}.  A partition's information
 content lives in its dit set: the set of ordered pairs (u, v) whose endpoints
 fall in different blocks.  Complements of dit sets are exactly the equivalence
 relations, so every lattice operation (join, meet, implication, refinement)
-can be computed either on blocks or on pair relations.  Production uses the
-blocks; the relations are the specification that the suites check it against.
+can be computed either on labels or on pair relations.  Production uses the
+labels; the relations are the specification that the suites check it against.
 The same duality gives the dit-side predicates: a relation is irreflexive and
 anti-transitive exactly when its complement is reflexive and transitive, so
 :meth:`PairRelation.is_irreflexive` and :meth:`PairRelation.is_anti_transitive`
@@ -18,26 +18,24 @@ Being the specification only, a relation is refused above
 ``DENSE_RELATION_LIMIT`` elements instead of growing quadratically.
 
 A partition is the inverse image of a labelling ``f: U -> Y``: its blocks are
-the classes ``f^-1(y)``.  :func:`_from_labels` builds every partition the
-library produces that way (enumeration from restricted-growth strings, join
-from the pair labelling ``u -> (p(u), s(u))``, meet, implication, the discrete
-and indiscrete partitions, :func:`make_partition`,
-:func:`partition_from_equivalence`); grouping elements in order makes the
-blocks canonical by construction, so it is the one path that skips
-validation.  Blocks are checked in one place, :func:`_labels`, which the
-public ``Partition(...)`` constructor shares with :func:`make_partition`.
-
-The way back, element -> block index, is the form that pair code works on
-(join, refinement, implication, the measure tables).  A partition builds it
-once, on first use, and keeps it as a tuple outside its fields, so equality,
-hashing and repr see only the blocks; :meth:`Partition.block_index_of` hands
-out a fresh list copy.
+the classes ``f^-1(y)``.  Its value is the canonical labelling, the
+restricted-growth string (Knuth, TAOCP 4A, 7.2.1.5): element 0 has label 0
+and each label is at most one more than the largest label before it, so
+blocks are numbered in order of least element.  Equality, hashing and all
+pair code (join, meet, refinement, implication, the measure tables) read the
+labels; the blocks are derived from them on first use.  :func:`_from_labels`
+renumbers any labelling by first appearance, and every partition the
+library produces goes through it, except enumeration, which generates the
+strings themselves.  Blocks are checked in one place, :func:`_labels`, which
+the public ``Partition(...)`` constructor shares with :func:`make_partition`.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -228,67 +226,70 @@ class PairRelation:
         return self.is_reflexive() and self.is_symmetric() and self.is_transitive()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Partition:
-    """A partition of {0, .., n-1} in canonical form.
+    """A partition of {0, .., n-1}, held as its restricted-growth string.
 
-    Canonical form: tuple blocks, elements ascending within each block and
-    blocks ordered by their least element, so equality of values is exactly
-    equality of partitions.  ``Partition(universe, blocks)`` checks the blocks
-    with the same routine as :func:`make_partition` and requires them in that
-    form; the library's own producers go through :func:`_from_labels`, whose
-    blocks are canonical by construction, and skip the check.
+    ``labels[u]`` is the index of u's block, blocks numbered by least element.
+    ``blocks``, derived and kept once built, are tuples, each ascending, in
+    that order.  ``Partition(universe, blocks)`` checks the blocks with the
+    same routine as :func:`make_partition` and requires them in that form;
+    the library's own producers build the labels directly and skip the check.
     """
 
     universe: Universe
-    blocks: tuple[tuple[int, ...], ...]
+    labels: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.universe, Universe):
-            raise InvalidPartitionError(f"universe {self.universe!r} is not a Universe")
-        canonical = _from_labels(self.universe, _labels(self.blocks, self.universe.size))
-        if self.blocks != canonical.blocks:
+    def __init__(self, universe: Universe, blocks: tuple[tuple[int, ...], ...]) -> None:
+        if not isinstance(universe, Universe):
+            raise InvalidPartitionError(f"universe {universe!r} is not a Universe")
+        canonical = _from_labels(universe, _labels(blocks, universe.size))
+        if blocks != canonical.blocks:
             raise InvalidPartitionError(
-                f"blocks {self.blocks!r} are not in canonical form"
+                f"blocks {blocks!r} are not in canonical form"
                 " (tuples, each ascending, ordered by least element)"
             )
+        object.__setattr__(self, "universe", universe)
+        object.__setattr__(self, "labels", canonical.labels)
+
+    @cached_property
+    def blocks(self) -> tuple[tuple[int, ...], ...]:
+        """The classes of the labels, in label order; built once, not a field."""
+        groups: list[list[int]] = [[] for _ in range(self.n_blocks)]
+        for u, label in enumerate(self.labels):
+            groups[label].append(u)
+        return tuple(map(tuple, groups))
 
     @property
     def n_blocks(self) -> int:
-        return len(self.blocks)
+        return max(self.labels) + 1
 
     @property
     def is_indiscrete(self) -> bool:
         return self.n_blocks == 1
 
-    @cached_property
-    def _block_labels(self) -> tuple[int, ...]:
-        """Each element's block index, built once per partition; not a field."""
-        out = [0] * self.universe.size
-        for i, block in enumerate(self.blocks):
-            for u in block:
-                out[u] = i
-        return tuple(out)
-
     def block_index_of(self) -> list[int]:
         """Map element -> index of its block, as a fresh list over 0..n-1."""
-        return list(self._block_labels)
+        return list(self.labels)
+
+
+def _partition(universe: Universe, rgs: tuple[int, ...]) -> Partition:
+    """The partition whose labels are ``rgs``, a restricted-growth string; not re-checked."""
+    partition = object.__new__(Partition)
+    object.__setattr__(partition, "universe", universe)
+    object.__setattr__(partition, "labels", rgs)
+    return partition
 
 
 def _from_labels(universe: Universe, labels: Iterable) -> Partition:
     """The partition whose blocks are the classes of a labelling of 0..n-1.
 
-    ``labels`` gives each element's label in element order.  Grouping in that
-    order makes each block ascend and orders the blocks by least element, so
-    the result is canonical by construction and is not re-checked.
+    ``labels`` gives each element's label, any hashable value, in element
+    order.  Renumbered by first appearance it is the restricted-growth
+    string, so the result is canonical and is not re-checked.
     """
-    groups: dict = {}
-    for u, label in enumerate(labels):
-        groups.setdefault(label, []).append(u)
-    partition = object.__new__(Partition)
-    object.__setattr__(partition, "universe", universe)
-    object.__setattr__(partition, "blocks", tuple(map(tuple, groups.values())))
-    return partition
+    code: dict = {}
+    return _partition(universe, tuple([code.setdefault(label, len(code)) for label in labels]))
 
 
 def _labels(blocks: Iterable[Iterable[int]], n: int) -> list[int]:
@@ -296,22 +297,22 @@ def _labels(blocks: Iterable[Iterable[int]], n: int) -> list[int]:
 
     Both :func:`make_partition` and ``Partition(...)`` validate through it.
     """
+    labels: list[int | None] = [None] * n
     try:
-        rows = [list(raw) for raw in blocks]
+        for b, members in enumerate(blocks):
+            u = None  # stays None only for an empty block: a None element is refused below
+            for u in members:  # checked before any deduplication: {1, True} is not one element
+                if type(u) is not int and (not isinstance(u, int) or isinstance(u, bool)):
+                    raise InvalidPartitionError(f"element {u!r} is not an integer index")
+                if not (0 <= u < n):
+                    raise InvalidPartitionError(f"element {u} outside universe of size {n}")
+                if labels[u] is not None and labels[u] != b:
+                    raise InvalidPartitionError(f"element {u} appears in more than one block")
+                labels[u] = b
+            if u is None:
+                raise InvalidPartitionError("empty block")
     except TypeError:
         raise InvalidPartitionError(f"{blocks!r} is not a collection of blocks") from None
-    labels: list[int | None] = [None] * n
-    for b, members in enumerate(rows):
-        if not members:
-            raise InvalidPartitionError("empty block")
-        for u in members:  # checked before any deduplication: {1, True} is not one element
-            if not isinstance(u, int) or isinstance(u, bool):
-                raise InvalidPartitionError(f"element {u!r} is not an integer index")
-            if not (0 <= u < n):
-                raise InvalidPartitionError(f"element {u} outside universe of size {n}")
-            if labels[u] not in (None, b):
-                raise InvalidPartitionError(f"element {u} appears in more than one block")
-            labels[u] = b
     if None in labels:
         raise InvalidPartitionError(f"element {labels.index(None)} not covered by any block")
     return labels
@@ -445,19 +446,19 @@ def join(p: Partition, s: Partition) -> Partition:
     verification suites.
     """
     _check_same_universe(p, s)
-    return _from_labels(p.universe, zip(p._block_labels, s._block_labels))
+    return _from_labels(p.universe, zip(p.labels, s.labels))
 
 
 def meet(p: Partition, s: Partition) -> Partition:
     """Partition meet: classes of the closure of indit(p) | indit(s).
 
-    Merging blocks with a union-find computes that closure directly; the
-    equivalent definition through the interior of dit(p) & dit(s) is kept as
-    the checked specification in the test suites.
+    A union-find over the labels of both merges the two blocks of each
+    nonempty B & C; its roots, numbered in p-label order (first-element
+    order), label the result.  interior(dit(p) & dit(s)) is the specification.
     """
     _check_same_universe(p, s)
-    n = p.universe.size
-    parent = list(range(n))
+    offset = p.n_blocks  # s-label j is node offset + j
+    parent = list(range(offset + s.n_blocks))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -465,20 +466,13 @@ def meet(p: Partition, s: Partition) -> Partition:
             x = parent[x]
         return x
 
-    for block in p.blocks + s.blocks:
-        root = find(block[0])
-        for u in block[1:]:
-            r = find(u)
-            if r != root:
-                parent[r] = root
-    return _from_labels(p.universe, [find(u) for u in range(n)])
-
-
-def _inside(s: Partition, p: Partition) -> Iterator[bool]:
-    """For each block of p, lazily, whether it lies inside a single block of s."""
-    _check_same_universe(s, p)
-    s_index = s._block_labels
-    return (len({s_index[u] for u in block}) == 1 for block in p.blocks)
+    for i, j in set(zip(p.labels, s.labels)):  # one pair per nonempty B & C
+        a, b = find(i), find(offset + j)
+        if a != b:
+            parent[b] = a
+    code: dict = {}
+    roots = [code.setdefault(find(i), len(code)) for i in range(offset)]
+    return _partition(p.universe, tuple(map(roots.__getitem__, p.labels)))
 
 
 def implication(s: Partition, p: Partition) -> Partition:
@@ -489,19 +483,25 @@ def implication(s: Partition, p: Partition) -> Partition:
     dit set is interior(complement(dit(s)) | dit(p)), and s => p is discrete
     exactly when p refines s.
     """
-    inside = list(_inside(s, p))
-    # a discretized element gets a label of its own, -1 - u; the rest keep their p-block
-    labels = [-1 - u if inside[b] else b for u, b in enumerate(p._block_labels)]
+    _check_same_universe(s, p)
+    meets = Counter(map(itemgetter(0), set(zip(p.labels, s.labels))))  # p-label -> s-labels met
+    if 1 not in meets.values():  # no block to discretize
+        return p
+    # a discretized element gets a label of its own, -1 - u; the rest keep their p-label
+    labels = [-1 - u if meets[b] == 1 else b for u, b in enumerate(p.labels)]
     return _from_labels(p.universe, labels)
 
 
 def refines(s: Partition, p: Partition) -> bool:
     """True when p refines s: each block of p lies inside some block of s.
 
-    Equivalent to dit(s) being a subset of dit(p), which the verification
-    suites check pair by pair.
+    That is, each p-label meets one s-label; the check stops at the first
+    that meets two.  Equivalent to dit(s) being a subset of dit(p), which the
+    verification suites check pair by pair.
     """
-    return all(_inside(s, p))
+    _check_same_universe(s, p)
+    first: dict = {}  # p-label -> the s-label of its least element
+    return all(first.setdefault(i, j) == j for i, j in zip(p.labels, s.labels))
 
 
 def mutual_dit_set(p: Partition, s: Partition) -> PairRelation:
@@ -555,7 +555,7 @@ def _generate_partitions(universe: Universe) -> Iterator[Partition]:
     labels = [0] * n
     caps = [1] * n  # caps[i] = 1 + max(labels[:i]); position i may take 0..caps[i]
     while True:
-        yield _from_labels(universe, labels)
+        yield _partition(universe, tuple(labels))
         j = n - 1
         while j > 0 and labels[j] == caps[j]:
             j -= 1
@@ -590,17 +590,17 @@ def lattice_cover_edges(n: int) -> list[tuple[int, int]]:
     and a nonempty rest; edges come sorted by (i, j).
     """
     parts = list(enumerate_partitions(n))
-    index = {p.blocks: k for k, p in enumerate(parts)}
+    index = {p.labels: k for k, p in enumerate(parts)}
     edges = []
     for i, coarser in enumerate(parts):
-        blocks = coarser.blocks
-        for b, block in enumerate(blocks):
-            head, rest = block[0], block[1:]
-            others = blocks[:b] + blocks[b + 1 :]
+        fresh = coarser.n_blocks  # the moved part's label before renumbering
+        for block in coarser.blocks:
+            rest = block[1:]
             for mask in range(1, 1 << len(rest)):
-                moved = tuple(u for k, u in enumerate(rest) if (mask >> k) & 1)
-                kept = (head,) + tuple(u for k, u in enumerate(rest) if not (mask >> k) & 1)
-                finer = sorted(others + (kept, moved), key=lambda c: c[0])
-                edges.append((i, index[tuple(finer)]))
+                finer = list(coarser.labels)
+                for k, u in enumerate(rest):
+                    if (mask >> k) & 1:
+                        finer[u] = fresh
+                edges.append((i, index[_from_labels(coarser.universe, finer).labels]))
     edges.sort()
     return edges

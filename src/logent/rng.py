@@ -81,13 +81,13 @@ def _check_start(start) -> None:
 
 
 def batch_uint64(seed: int, start: int, count: int) -> np.ndarray:
-    """Outputs start+1 .. start+count of the stream, identical to the scalar view."""
+    """Outputs start+1 .. start+count (mod 2**64) of the stream, identical to the scalar view."""
     import numpy as np
 
     _check_start(start)
-    z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    z = np.arange(1, count + 1, dtype=np.uint64)
     np.multiply(z, np.uint64(GOLDEN_GAMMA), out=z)
-    np.add(z, np.uint64(seed & _MASK64), out=z)
+    np.add(z, np.uint64((seed + start * GOLDEN_GAMMA) & _MASK64), out=z)  # state at output start
     scratch = np.empty_like(z)  # the finalizer runs in place on z
     for shift, mix in ((30, _MIX_1), (27, _MIX_2)):
         np.bitwise_xor(z, np.right_shift(z, np.uint64(shift), out=scratch), out=z)

@@ -160,12 +160,12 @@ def run_lattice_suites(max_n: int) -> list[SuiteResult]:
         discrete = parts[-1]
         dits = [dit_set(p) for p in parts]
         indits = [indit_set(p) for p in parts]
-        # Lattice results are looked up by their blocks: a result that is not a
+        # Lattice results are looked up by their labels: a result that is not a
         # canonical enumerated partition fails its check instead of matching.
-        index = {p.blocks: k for k, p in enumerate(parts)}
+        index = {p.labels: k for k, p in enumerate(parts)}
 
         def dit_bits(partition: Partition) -> int | None:
-            k = index.get(partition.blocks)
+            k = index.get(partition.labels)
             return None if k is None else dits[k].bits
 
         for p, d, e in zip(parts, dits, indits):
@@ -309,12 +309,10 @@ def run_independence_suite() -> list[SuiteResult]:
             universe = Universe(nx * ny)  # cell (x, y) of X x Y is element x * ny + y
             weights = Distribution.uniform_exact(nx * ny)
             lifted_x = [
-                _from_labels(universe, [b for b in p._block_labels for _ in range(ny)])
+                _from_labels(universe, [b for b in p.labels for _ in range(ny)])
                 for p in enumerate_partitions(nx)
             ]
-            lifted_y = [
-                _from_labels(universe, p._block_labels * nx) for p in enumerate_partitions(ny)
-            ]
+            lifted_y = [_from_labels(universe, p.labels * nx) for p in enumerate_partitions(ny)]
             hx = [logical_entropy_partition(p, weights) for p in lifted_x]
             hy = [logical_entropy_partition(p, weights) for p in lifted_y]
             capital_hx = [shannon_entropy_partition(p) for p in lifted_x]

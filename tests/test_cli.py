@@ -174,11 +174,19 @@ class TestVerifyCommand:
         assert "join_dit_union" in names
         assert "mutual_dit_structure_theorem" in names
 
-    def test_max_n_limits(self, capsys):
-        code, _, err = run(capsys, "verify", "--max-n", "7")
+    def test_max_n_limits(self, capsys, monkeypatch):
+        code, _, err = run(capsys, "verify", "--max-n", "8")
         assert code == 1
         code, _, err = run(capsys, "verify", "--max-n", "1")
         assert code == 1
+        from logent import verification
+        from logent.verification import SuiteResult
+
+        # n = 7 is accepted; the sweep itself (minutes) is stubbed out here
+        passed = [SuiteResult("stub", checks=1, failures=0, worst_residual=0.0)]
+        monkeypatch.setattr(verification, "run_all", lambda max_n, seed: passed)
+        code, out, _ = run(capsys, "verify", "--max-n", "7")
+        assert code == 0 and out["inputs"]["max_n"] == 7
 
     def test_failure_exits_with_code_two(self, capsys, monkeypatch):
         from logent import verification

@@ -175,7 +175,7 @@ class TestPartitionConstructor:
 
 
 class TestBlockLabels:
-    """Each partition keeps its element -> block map once, outside its value."""
+    """A partition's value is its label string; the blocks are derived, kept outside it."""
 
     P = make_partition([{0, 3}, {1}, {2, 4}], 5)
 
@@ -192,8 +192,20 @@ class TestBlockLabels:
         fresh = make_partition([{0, 3}, {1}, {2, 4}], 5)
         used = make_partition([{0, 3}, {1}, {2, 4}], 5)
         used.block_index_of()
+        assert used.blocks == ((0, 3), (1,), (2, 4)) and used.n_blocks == 3
         join(used, used)
         assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_enumerated_labels_are_restricted_growth_strings(self, n):
+        for p in enumerate_partitions(n):
+            labels = p.labels
+            assert labels[0] == 0
+            assert all(labels[i] <= 1 + max(labels[:i]) for i in range(1, n))
+            classes = {}
+            for u, label in enumerate(labels):
+                classes.setdefault(label, []).append(u)
+            assert p.blocks == tuple(tuple(c) for c in classes.values())
 
 
 class TestDenseRelationGuard:

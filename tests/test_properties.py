@@ -29,6 +29,7 @@ from logent.partitions import (
     PairRelation,
     Partition,
     Universe,
+    _from_labels,
     dit_set,
     implication,
     indit_set,
@@ -142,6 +143,19 @@ def joints(draw, max_side=4):
 # ----------------------------------------------------------------------
 # partition algebra
 # ----------------------------------------------------------------------
+
+
+@given(
+    st.lists(
+        st.one_of(st.integers(-3, 3), st.tuples(st.integers(-1, 1), st.integers(-1, 1))),
+        min_size=1,
+        max_size=8,
+    )
+)
+def test_from_labels_renumbers_any_labelling(labels):
+    built = _from_labels(Universe(len(labels)), labels)
+    grouped = partition_from_labels(labels)
+    assert built == grouped and built.labels == grouped.labels and hash(built) == hash(grouped)
 
 
 @given(partition_pairs())

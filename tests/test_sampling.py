@@ -49,7 +49,9 @@ class TestGenerator:
         gen = SplitMix64(99)
         assert [gen.next_unit() for _ in range(100)] == units[:100].tolist()
 
-    @pytest.mark.parametrize("seed, start", [(2**64 - 1, 0), (5, 2**63), (2**64 - 1, 2**63)])
+    @pytest.mark.parametrize(
+        "seed, start", [(2**64 - 1, 0), (5, 2**63), (2**64 - 1, 2**63), (5, 2**64 - 2)]
+    )
     def test_batch_wraps_like_scalar(self, seed, start):
         # seed + k * gamma passes 2**64 within these draws; both views reduce it mod 2**64
         count = 1000
@@ -68,6 +70,11 @@ class TestGenerator:
         a, b = SplitMix64(-1), SplitMix64(2**64 - 1)
         assert [a.next_uint64() for _ in range(5)] == [b.next_uint64() for _ in range(5)]
         assert batch_uint64(-1, 0, 5).tolist() == batch_uint64(2**64 - 1, 0, 5).tolist()
+
+    def test_start_is_taken_mod_2_64(self):
+        for seed in (0, 2024):
+            assert batch_uint64(seed, 2**64 + 5, 3).tolist() == batch_uint64(seed, 5, 3).tolist()
+            assert batch_units(seed, 2**64 + 5, 3).tolist() == batch_units(seed, 5, 3).tolist()
 
     @pytest.mark.parametrize("seed", [1.5, "7", True, None])
     def test_rejects_non_integer_seed(self, seed):
