@@ -12,18 +12,20 @@ block-intersection masses, and one formula per quantity is evaluated over it.
 :func:`product_measure` on a dit set is the specification it is checked against.
 The cells are the classes of the two partitions' paired labels, massed
 without building their join; the row and column sums are their own block
-masses, the numbers ``h(p)`` and :func:`block_probabilities` use.  The
-last table built is kept: the conditional and mutual measures, logical and
-Shannon, of the same ``(p, s, weights)`` objects share one table.  That memo
-is keyed by identity, not equality, since equal weights can be float or
-exact, and it is swapped in one assignment, so it is safe under threads.
+masses, the numbers ``h(p)`` and :func:`block_probabilities` use.  Both
+families read masses over the table's total ``T`` and divide by it: the
+logical measures form one numerator over ``T^2``, the Shannon ones weigh a
+cell by ``m / T``.  The last table built is kept: the conditional and mutual
+measures, logical and Shannon, of the same ``(p, s, weights)`` share one
+table.  That memo is keyed by identity, not equality, since equal weights
+can be float or exact, and it is swapped in one assignment (thread-safe).
 
 All functions are pure and numeric-type generic: feed them ``float`` entries
 for fast arithmetic or ``fractions.Fraction`` entries for exact arithmetic.
 On the exact path the measures run on integers: a distribution's entries are
-integer numerators over their common denominator ``D``, every partition
-measure forms one integer numerator over ``D^2``, and a single ``Fraction``
-is built per result.
+integer numerators over their common denominator ``D``, every partition or
+joint table measure forms one integer numerator over ``D^2``, and a single
+``Fraction`` is built per result.
 Zero-probability outcomes are kept (they contribute nothing) so indices stay
 aligned with user input and distance matrices.
 """
@@ -48,7 +50,7 @@ from .errors import (
     SizeMismatchError,
     _check_positive,
 )
-from .partitions import Partition, PairRelation, _check_same_universe
+from .partitions import Partition, PairRelation, Universe, _check_same_universe, _partition
 
 NORMALIZATION_TOLERANCE = 1e-9
 IDENTITY_TOLERANCE = 1e-12
@@ -156,7 +158,8 @@ class Distribution:
 class JointDistribution:
     """A joint probability matrix p(x, y); rows are x values, columns y values.
 
-    The cells are validated and normalized as one :class:`Distribution`.
+    The cells are validated and normalized as one :class:`Distribution`, kept
+    (not a field) for its exact integers; the marginals are cached views.
     """
 
     rows: tuple
@@ -171,9 +174,10 @@ class JointDistribution:
         width = len(rows[0])
         if any(len(r) != width for r in rows):
             raise InvalidDistributionError("ragged joint matrix")
-        cells = Distribution(tuple(chain.from_iterable(rows))).probs
-        rows = tuple(cells[i : i + width] for i in range(0, len(cells), width))
+        cells = Distribution(tuple(chain.from_iterable(rows)))
+        rows = tuple(cells.probs[i : i + width] for i in range(0, len(cells), width))
         object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "_cells", cells)
 
     @property
     def nx(self) -> int:
@@ -183,11 +187,11 @@ class JointDistribution:
     def ny(self) -> int:
         return len(self.rows[0])
 
-    @property
+    @cached_property
     def marginal_x(self) -> tuple:
         return tuple(map(_left_sum, self.rows))
 
-    @property
+    @cached_property
     def marginal_y(self) -> tuple:
         return tuple(_left_sum(r[j] for r in self.rows) for j in range(self.ny))
 
@@ -311,9 +315,10 @@ def _ratio(numerator, denominator, exact: bool):
 
 
 class _MassTable(NamedTuple):
-    """Cells (i, j, mass), row and column sums, and total T; conditioning is on columns j.
+    """Cells (i, j, m), row and column sums, masses over T; conditioning is on columns j.
 
-    ``exact`` marks integer masses over T = D from exact weights.
+    T is n unweighted, D under exact weights (``exact``: integer masses), 1 for
+    floats; each reader divides by T itself.
     """
 
     cells: tuple
@@ -355,13 +360,22 @@ def _partition_table(p: Partition, s: Partition, weights: Distribution | None) -
 
 
 def _joint_table(joint: JointDistribution, given: str = "y") -> _MassTable:
-    """The joint's cells with the ``given`` axis as columns (transposed for 'x')."""
+    """The joint's cells with the ``given`` axis as columns (transposed for 'x').
+
+    Exact cells give the integer table of the cells' row and column partitions
+    under the cell weights; float cells are read as they are, over T = 1.
+    """
+    if given not in ("x", "y"):
+        raise DomainError(f"axis selector must be 'x' or 'y', got {given!r}")
+    if joint._cells.is_exact:
+        cells = Universe(len(joint._cells))
+        x = _partition(cells, tuple(i for i in range(joint.nx) for _ in range(joint.ny)))
+        y = _partition(cells, tuple(range(joint.ny)) * joint.nx)
+        return _partition_table(*((x, y) if given == "y" else (y, x)), joint._cells)
     if given == "y":
         return _MassTable(tuple(joint.cells()), joint.marginal_x, joint.marginal_y, 1)
-    if given == "x":
-        transposed = tuple((j, i, p) for i, j, p in joint.cells())
-        return _MassTable(transposed, joint.marginal_y, joint.marginal_x, 1)
-    raise DomainError(f"axis selector must be 'x' or 'y', got {given!r}")
+    transposed = tuple((j, i, p) for i, j, p in joint.cells())
+    return _MassTable(transposed, joint.marginal_y, joint.marginal_x, 1)
 
 
 def _logical_conditional(table: _MassTable):

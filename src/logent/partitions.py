@@ -32,10 +32,8 @@ the public ``Partition(...)`` constructor shares with :func:`make_partition`.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -231,10 +229,11 @@ class Partition:
     """A partition of {0, .., n-1}, held as its restricted-growth string.
 
     ``labels[u]`` is the index of u's block, blocks numbered by least element.
-    ``blocks``, derived and kept once built, are tuples, each ascending, in
-    that order.  ``Partition(universe, blocks)`` checks the blocks with the
-    same routine as :func:`make_partition` and requires them in that form;
-    the library's own producers build the labels directly and skip the check.
+    ``blocks`` and ``n_blocks``, derived and kept once built: the blocks are
+    tuples, each ascending, in that order.  ``Partition(universe, blocks)``
+    checks the blocks with the same routine as :func:`make_partition` and
+    requires them in that form; the library's own producers build the labels
+    directly and skip the check.
     """
 
     universe: Universe
@@ -260,7 +259,7 @@ class Partition:
             groups[label].append(u)
         return tuple(map(tuple, groups))
 
-    @property
+    @cached_property
     def n_blocks(self) -> int:
         return max(self.labels) + 1
 
@@ -484,11 +483,12 @@ def implication(s: Partition, p: Partition) -> Partition:
     exactly when p refines s.
     """
     _check_same_universe(s, p)
-    meets = Counter(map(itemgetter(0), set(zip(p.labels, s.labels))))  # p-label -> s-labels met
-    if 1 not in meets.values():  # no block to discretize
+    first: dict = {}  # p-label -> the s-label of its least element, as in refines
+    split = {i for i, j in zip(p.labels, s.labels) if first.setdefault(i, j) != j}
+    if len(split) == p.n_blocks:  # no block to discretize
         return p
     # a discretized element gets a label of its own, -1 - u; the rest keep their p-label
-    labels = [-1 - u if meets[b] == 1 else b for u, b in enumerate(p.labels)]
+    labels = [b if b in split else -1 - u for u, b in enumerate(p.labels)]
     return _from_labels(p.universe, labels)
 
 

@@ -20,11 +20,10 @@ from .errors import DomainError, LogentError, _check_positive
 from .logical import (
     Distribution,
     JointDistribution,
-    _joint_table,
-    _MassTable,
     _check_same_length,
+    _joint_table,
+    _masses,
     _partition_table,
-    block_probabilities,
 )
 from .partitions import Partition
 
@@ -59,44 +58,27 @@ def shannon_entropy_dist(p: Distribution, base: float = 2.0) -> float:
 def shannon_entropy_partition(
     partition: Partition, weights: Distribution | None = None, base: float = 2.0
 ) -> float:
-    """H of the block-probability vector of the partition."""
-    masses = block_probabilities(partition, weights)
-    return math.fsum(float(m) * _surprisal(m, base) for m in masses if m > 0)
+    """H of the block-probability vector of the partition: each block mass m over T."""
+    masses, total, _ = _masses(partition.labels, partition.universe.size, weights)
+    shares = (m / total for m in masses.values())
+    return math.fsum(q * _surprisal(q, base) for q in shares if q > 0)
 
 
 def _shannon_conditional(table, base: float) -> float:
-    """sum m * log(col / m) / T over the cells with mass."""
-    cols = table.cols
+    """sum w * log(col / m) over the cells of weight w = m / T > 0."""
+    cols, total = table.cols, table.total
     return math.fsum(
-        float(m) * _log(float(cols[j]) / float(m), base) for _, j, m in table.cells if m > 0
-    ) / table.total
+        w * _log(cols[j] / m, base) for _, j, m in table.cells if (w := m / total) > 0
+    )
 
 
 def _shannon_mutual(table, base: float) -> float:
-    """sum m * log(m T / (row col)) / T over the cells with mass."""
+    """sum w * log(m T / (row col)) over the cells of weight w = m / T > 0."""
     rows, cols, total = table.rows, table.cols, table.total
     return math.fsum(
-        float(m) * _log(float(m) * total / (float(rows[i]) * float(cols[j])), base)
+        w * _log(m * total / (rows[i] * cols[j]), base)
         for i, j, m in table.cells
-        if m > 0
-    ) / total
-
-
-def _shannon_partition_table(p: Partition, s: Partition, weights: Distribution | None):
-    """The partition table with exact integer masses M over T = D read as floats M / D.
-
-    M / D is the correctly rounded value of the exact weight sum, so the
-    formulas see the same floats as from Fraction masses, and no sum divides by D.
-    """
-    table = _partition_table(p, s, weights)
-    if not table.exact:
-        return table
-    d = table.total
-    return _MassTable(
-        tuple((i, j, m / d) for i, j, m in table.cells),
-        tuple(r / d for r in table.rows),
-        tuple(c / d for c in table.cols),
-        1,
+        if (w := m / total) > 0
     )
 
 
@@ -114,7 +96,7 @@ def shannon_conditional_partition(
 
     Equals H(p v s) - H(s).
     """
-    return _shannon_conditional(_shannon_partition_table(p, s, weights), base)
+    return _shannon_conditional(_partition_table(p, s, weights), base)
 
 
 def shannon_mutual_joint(joint: JointDistribution, base: float = 2.0) -> float:
@@ -126,7 +108,7 @@ def shannon_mutual_partition(
     p: Partition, s: Partition, weights: Distribution | None = None, base: float = 2.0
 ) -> float:
     """I(p,s) = sum over nonempty B & C of p_BC * log(p_BC / (p_B p_C))."""
-    return _shannon_mutual(_shannon_partition_table(p, s, weights), base)
+    return _shannon_mutual(_partition_table(p, s, weights), base)
 
 
 def _support_sum(p: Distribution, q: Distribution, term) -> float:
@@ -214,15 +196,18 @@ def dit_bit_transform(kind: str, *inputs, base: float = 2.0) -> float:
         joint, given = inputs
         direct = shannon_conditional_joint(joint, given, base)
         table = _joint_table(joint, given)
-        # h(x|y) = sum p [(1 - p) - (1 - p_y)]
-        terms = [t for _, j, m in table.cells for t in ((m, m), (-m, table.cols[j]))]
+        cols, d = table.cols, table.total
+        # h(x|y) = sum p [(1 - p) - (1 - p_y)], each probability a mass over T
+        terms = [t for _, j, m in table.cells for t in ((m / d, m / d), (-m / d, cols[j] / d))]
     elif kind == "mutual":
         (joint,) = inputs
         direct = shannon_mutual_joint(joint, base)
         table = _joint_table(joint)
-        # m(x,y) = sum p [(1 - p_x) + (1 - p_y) - (1 - p)]
+        rows, cols, d = table.rows, table.cols, table.total
+        # m(x,y) = sum p [(1 - p_x) + (1 - p_y) - (1 - p)], each probability a mass over T
         terms = [
-            t for i, j, m in table.cells for t in ((m, table.rows[i]), (m, table.cols[j]), (-m, m))
+            t for i, j, m in table.cells
+            for t in ((m / d, rows[i] / d), (m / d, cols[j] / d), (-m / d, m / d))
         ]
     elif kind == "cross":
         p, q = inputs

@@ -128,6 +128,15 @@ class TestJointDistribution:
         assert j.marginal_x == (0.5, 0.5)
         assert j.marginal_y == (0.75, 0.25)
 
+    def test_marginals_are_cached_views(self):
+        j = JointDistribution(
+            ((Fraction(1, 6), Fraction(1, 3)), (Fraction(1, 4), Fraction(1, 4)))
+        )
+        before = (hash(j), repr(j))
+        assert j.marginal_x is j.marginal_x and j.marginal_y is j.marginal_y
+        fresh = JointDistribution(j.rows)
+        assert j == fresh and (hash(j), repr(j)) == before == (hash(fresh), repr(fresh))
+
     def test_ragged_rejected(self):
         with pytest.raises(InvalidDistributionError, match="ragged"):
             JointDistribution(((0.5,), (0.25, 0.25)))
@@ -580,6 +589,32 @@ class TestJointMeasures:
         )
         assert logical_conditional_joint(j, "y") == cond_oracle
         assert logical_mutual_joint(j) == mut_oracle
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            ((Fraction(1, 6), Fraction(1, 3)), (Fraction(1, 4), Fraction(1, 4))),
+            ((Fraction(1, 8), Fraction(1, 4), Fraction(1, 8)), (Fraction(1, 4), 0, Fraction(1, 4))),
+            ((0, 1, 0), (0, 0, 0)),
+        ],
+    )
+    def test_exact_joint_measures_are_fractions_of_cell_dit_sets(self, rows):
+        """Rows and columns partition the cells; an exact joint's measures are their dit sets'."""
+        j = JointDistribution(rows)
+        cells = Universe(j.nx * j.ny)
+        dit_rows = dit_set(_from_labels(cells, [i for i, _, _ in j.cells()]))
+        dit_cols = dit_set(_from_labels(cells, [c for _, c, _ in j.cells()]))
+        values = [
+            logical_conditional_joint(j, "y"),
+            logical_conditional_joint(j, "x"),
+            logical_mutual_joint(j),
+        ]
+        assert all(type(v) is Fraction for v in values)
+        assert values == [
+            product_measure(dit_rows - dit_cols, j.flatten()),
+            product_measure(dit_cols - dit_rows, j.flatten()),
+            product_measure(dit_rows & dit_cols, j.flatten()),
+        ]
 
 
 class TestCrossAndDivergence:

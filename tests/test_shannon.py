@@ -4,6 +4,7 @@ import pathlib
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -39,6 +40,9 @@ HALF_QUARTERS = Distribution((0.5, 0.25, 0.25))
 SKEWED = Distribution((0.25, 0.75))
 FIFTHS = Distribution((0.2, 0.3, 0.5))
 ZERO_CELL_JOINT = JointDistribution(((0.25, 0.25), (0.5, 0.0)))
+EXACT_JOINT = JointDistribution(
+    ((Fraction(1, 6), Fraction(1, 3)), (Fraction(1, 4), Fraction(1, 4)))
+)
 
 
 def log_factorial_oracle(m):
@@ -211,6 +215,28 @@ class TestMutual:
                 assert lhs >= -1e-12
 
 
+def test_exact_weights_past_the_float_range():
+    """Masses over a 514-digit denominator are read as ratios, never through float()."""
+    primes = [q for q in range(2, 1224) if all(q % d for d in range(2, math.isqrt(q) + 1))]
+    assert len(primes) == 200
+    raw = [Fraction(1, q) for q in primes]
+    total = sum(raw)
+    exact = Distribution(tuple(x / total for x in raw))
+    assert len(str(exact._integers[1])) == 514
+    floats = Distribution(tuple(map(float, exact.probs)))
+    p = make_partition([range(k, 200, 7) for k in range(7)], 200)
+    s = make_partition([range(k, min(k + 13, 200)) for k in range(0, 200, 13)], 200)
+    for f, args in [
+        (shannon_conditional_partition, (p, s)),
+        (shannon_conditional_partition, (s, p)),
+        (shannon_mutual_partition, (p, s)),
+        (shannon_entropy_partition, (p,)),
+    ]:
+        value = f(*args, exact)
+        assert math.isfinite(value)
+        assert value == pytest.approx(f(*args, floats), abs=1e-12)
+
+
 class TestCrossAndKL:
     def test_cross_of_self(self):
         p = Distribution((0.3, 0.7))
@@ -300,6 +326,18 @@ class TestDitBitTransform:
         assert dit_bit_transform("conditional", j, "y") == pytest.approx(
             shannon_conditional_joint(j, "y"), abs=1e-12
         )
+
+    @pytest.mark.parametrize(
+        "kind, inputs, direct",
+        [
+            ("conditional", (EXACT_JOINT, "y"), shannon_conditional_joint),
+            ("conditional", (EXACT_JOINT, "x"), shannon_conditional_joint),
+            ("mutual", (EXACT_JOINT,), shannon_mutual_joint),
+        ],
+        ids=["given-y", "given-x", "mutual"],
+    )
+    def test_exact_joint(self, kind, inputs, direct):
+        assert dit_bit_transform(kind, *inputs) == pytest.approx(direct(*inputs), abs=1e-12)
 
     def test_cross_with_infinite_value(self):
         assert dit_bit_transform(
