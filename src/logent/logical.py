@@ -7,8 +7,9 @@ joint, mutual, cross) is the measure of an explicit subset of a pair space
 and the usual Venn identities hold literally.
 
 That measure is fixed by block masses, so production never builds the pair
-space: a partition pair, like a joint distribution, becomes one table of
-block-intersection masses, and one formula per quantity is evaluated over it.
+space: a partition pair becomes one table of block-intersection masses, and
+one formula per quantity is evaluated over it.  A joint distribution is the
+pair of its row and column partitions of the cells, under the cell weights.
 :func:`product_measure` on a dit set is the specification it is checked against.
 The cells are the classes of the two partitions' paired labels, massed
 without building their join; the row and column sums are their own block
@@ -16,9 +17,10 @@ masses, the numbers ``h(p)`` and :func:`block_probabilities` use.  Both
 families read masses over the table's total ``T`` and divide by it: the
 logical measures form one numerator over ``T^2``, the Shannon ones weigh a
 cell by ``m / T``.  The last table built is kept: the conditional and mutual
-measures, logical and Shannon, of the same ``(p, s, weights)`` share one
-table.  That memo is keyed by identity, not equality, since equal weights
-can be float or exact, and it is swapped in one assignment (thread-safe).
+measures, logical and Shannon, of the same ``(p, s, weights)``, or of one
+joint on either axis, share one table.  That memo is keyed by identity, not
+equality, since equal weights can be float or exact, and it is swapped in
+one assignment (thread-safe).
 
 All functions are pure and numeric-type generic: feed them ``float`` entries
 for fast arithmetic or ``fractions.Fraction`` entries for exact arithmetic.
@@ -159,7 +161,8 @@ class JointDistribution:
     """A joint probability matrix p(x, y); rows are x values, columns y values.
 
     The cells are validated and normalized as one :class:`Distribution`, kept
-    (not a field) for its exact integers; the marginals are cached views.
+    (not a field) as the weights of the row and column partitions of the
+    cells, cached as ``_axes``; the marginals are cached views.
     """
 
     rows: tuple
@@ -186,6 +189,13 @@ class JointDistribution:
     @property
     def ny(self) -> int:
         return len(self.rows[0])
+
+    @cached_property
+    def _axes(self) -> tuple[Partition, Partition]:
+        """The row (x) and column (y) partitions of the cells; cell (i, j) is i*ny + j."""
+        cells = Universe(self.nx * self.ny)
+        rows = tuple(i for i in range(self.nx) for _ in range(self.ny))
+        return _partition(cells, rows), _partition(cells, tuple(range(self.ny)) * self.nx)
 
     @cached_property
     def marginal_x(self) -> tuple:
@@ -289,24 +299,21 @@ def _masses(labels: Iterable, n: int, weights: Distribution | None) -> tuple:
     """Masses of the classes of a labelling of 0..n-1, their total T, and whether exact.
 
     Masses come as label -> mass in order of first appearance (block order
-    for a partition).  Unweighted: sizes with T = n.  Exact weights: sums of
-    the integer numerators with T = D, their common denominator.  Float
-    weights: weight sums with T = 1.
+    for a partition).  Unweighted: sizes with T = n.  Weighted: left-to-right
+    sums, the rule of a distribution's total and a joint's marginals, of the
+    integer numerators with T = D, their common denominator, under exact
+    weights, and of the weights with T = 1 under float weights.
     """
     if weights is None:
         return Counter(labels), n, False
     if len(weights) != n:
         raise SizeMismatchError(f"weights of length {len(weights)} for a universe of size {n}")
-    if weights.is_exact:
-        nums, denominator = weights._integers
-        masses: dict = {}
-        for label, num in zip(labels, nums):
-            masses[label] = masses.get(label, 0) + num
-        return masses, denominator, True
-    groups: dict = {}
-    for label, q in zip(labels, weights.probs):
-        groups.setdefault(label, []).append(q)
-    return {label: _accumulate(g) for label, g in groups.items()}, 1, False
+    exact = weights.is_exact
+    values, total = weights._integers if exact else (weights.probs, 1)
+    masses: dict = {}
+    for label, value in zip(labels, values):
+        masses[label] = masses.get(label, 0) + value
+    return masses, total, exact
 
 
 def _ratio(numerator, denominator, exact: bool):
@@ -325,7 +332,7 @@ class _MassTable(NamedTuple):
     rows: tuple
     cols: tuple
     total: object
-    exact: bool = False
+    exact: bool
 
 
 # (p, s, weights, table) of the last partition table built, in one tuple so that
@@ -360,22 +367,17 @@ def _partition_table(p: Partition, s: Partition, weights: Distribution | None) -
 
 
 def _joint_table(joint: JointDistribution, given: str = "y") -> _MassTable:
-    """The joint's cells with the ``given`` axis as columns (transposed for 'x').
+    """The table of the joint's row and column partitions under its cell weights.
 
-    Exact cells give the integer table of the cells' row and column partitions
-    under the cell weights; float cells are read as they are, over T = 1.
+    Both axes read the one memoized table; ``given='x'`` transposes it.
     """
     if given not in ("x", "y"):
         raise DomainError(f"axis selector must be 'x' or 'y', got {given!r}")
-    if joint._cells.is_exact:
-        cells = Universe(len(joint._cells))
-        x = _partition(cells, tuple(i for i in range(joint.nx) for _ in range(joint.ny)))
-        y = _partition(cells, tuple(range(joint.ny)) * joint.nx)
-        return _partition_table(*((x, y) if given == "y" else (y, x)), joint._cells)
+    table = _partition_table(*joint._axes, joint._cells)
     if given == "y":
-        return _MassTable(tuple(joint.cells()), joint.marginal_x, joint.marginal_y, 1)
-    transposed = tuple((j, i, p) for i, j, p in joint.cells())
-    return _MassTable(transposed, joint.marginal_y, joint.marginal_x, 1)
+        return table
+    transposed = tuple((j, i, m) for i, j, m in table.cells)
+    return _MassTable(transposed, table.cols, table.rows, table.total, table.exact)
 
 
 def _logical_conditional(table: _MassTable):
@@ -435,7 +437,7 @@ def logical_mutual_partition(p: Partition, s: Partition, weights: Distribution |
 
 def joint_logical_entropy(joint: JointDistribution):
     """h(x, y) = 1 - sum of p(x,y)^2 over all cells."""
-    return 1 - _accumulate(p * p for _, _, p in joint.cells())
+    return logical_entropy_dist(joint._cells)
 
 
 def logical_conditional_joint(joint: JointDistribution, given: str = "y"):

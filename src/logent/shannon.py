@@ -64,22 +64,58 @@ def shannon_entropy_partition(
     return math.fsum(q * _surprisal(q, base) for q in shares if q > 0)
 
 
+def _log_quotient(top, bottom: tuple, base: float) -> float:
+    """log(top / prod(bottom)) of positive masses: one division while the quotient
+    is a positive finite float, else the logs of its factors (``math.log`` takes
+    huge ints and subnormal floats)."""
+    try:
+        quotient = top / math.prod(bottom)
+    except (OverflowError, ZeroDivisionError):
+        quotient = math.inf
+    if 0 < quotient < math.inf:
+        return _log(quotient, base)
+    return _log(top, base) - math.fsum(_log(b, base) for b in bottom)
+
+
+def _past_float_range(table, base: float, factors) -> float:
+    """The sum again, with each log of ``factors(i, j, m) = (top, bottom)`` taken by
+    :func:`_log_quotient`: run only when a direct term failed or was infinite."""
+    total = table.total
+    return math.fsum(
+        w * _log_quotient(*factors(i, j, m), base)
+        for i, j, m in table.cells
+        if (w := m / total) > 0
+    )
+
+
 def _shannon_conditional(table, base: float) -> float:
     """sum w * log(col / m) over the cells of weight w = m / T > 0."""
     cols, total = table.cols, table.total
-    return math.fsum(
-        w * _log(cols[j] / m, base) for _, j, m in table.cells if (w := m / total) > 0
-    )
+    try:
+        value = math.fsum(
+            w * _log(cols[j] / m, base) for _, j, m in table.cells if (w := m / total) > 0
+        )
+    except OverflowError:  # an integer quotient past the float range
+        value = math.inf
+    if value < math.inf:
+        return value
+    return _past_float_range(table, base, lambda i, j, m: (cols[j], (m,)))
 
 
 def _shannon_mutual(table, base: float) -> float:
     """sum w * log(m T / (row col)) over the cells of weight w = m / T > 0."""
     rows, cols, total = table.rows, table.cols, table.total
-    return math.fsum(
-        w * _log(m * total / (rows[i] * cols[j]), base)
-        for i, j, m in table.cells
-        if (w := m / total) > 0
-    )
+    try:
+        value = math.fsum(
+            w * _log(m * total / (rows[i] * cols[j]), base)
+            for i, j, m in table.cells
+            if (w := m / total) > 0
+        )
+    except (OverflowError, ZeroDivisionError):  # row * col underflowed, or an integer overflow
+        value = math.inf
+    if value < math.inf:
+        return value
+    return _past_float_range(table, base, lambda i, j, m: (m * total, (rows[i], cols[j])))
 
 
 def shannon_conditional_joint(

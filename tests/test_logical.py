@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from logent import cli
+from logent import cli, logical
 from logent.errors import (
     DomainError,
     InvalidDistanceMatrixError,
@@ -51,11 +51,15 @@ from logent.partitions import (
     meet,
     mutual_dit_set,
 )
+from logent.rng import SplitMix64
 from logent.shannon import (
+    shannon_conditional_joint,
     shannon_conditional_partition,
     shannon_entropy_partition,
+    shannon_mutual_joint,
     shannon_mutual_partition,
 )
+from logent.verification import random_joint
 
 THIRDS = Distribution((Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)))
 THIRDS_OF_SIX = Distribution(tuple(Fraction(k, 21) for k in range(1, 7)))
@@ -615,6 +619,90 @@ class TestJointMeasures:
             product_measure(dit_cols - dit_rows, j.flatten()),
             product_measure(dit_rows & dit_cols, j.flatten()),
         ]
+
+
+def _seeded_joints(kind):
+    """Float joints of every shape up to 6 x 6 (seeds 2024, 7, 1), some with zero
+    cells, as they are, as exact fractions, or with every other cell a Fraction."""
+    for seed in (2024, 7, 1):
+        gen = SplitMix64(seed)
+        for t in range(100):
+            j = random_joint(gen, 1 + t % 6, 1 + t // 6 % 6, 0.2 if t % 3 == 0 else 0.0)
+            if kind == "exact":
+                rows = [[Fraction(v).limit_denominator(997) for v in r] for r in j.rows]
+                total = sum(map(sum, rows))
+                j = JointDistribution(tuple(tuple(v / total for v in r) for r in rows))
+            elif kind == "mixed":
+                j = JointDistribution(tuple(
+                    tuple(Fraction(v).limit_denominator(10**6) if (x + y) % 2 else v
+                          for y, v in enumerate(r))
+                    for x, r in enumerate(j.rows)
+                ))
+            yield j
+
+
+class TestJointIsItsAxisPartitions:
+    """A joint's pair measures are those of its row and column partitions of the cells."""
+
+    @pytest.mark.parametrize("kind", ["float", "exact", "mixed"])
+    def test_pair_measures_equal_axis_partition_measures(self, kind):
+        for j in _seeded_joints(kind):
+            cells = Universe(j.nx * j.ny)
+            x = _from_labels(cells, [i for i, _, _ in j.cells()])
+            y = _from_labels(cells, [c for _, c, _ in j.cells()])
+            pairs = [
+                (logical_conditional_joint(j, "y"), logical_conditional_partition(x, y, j._cells)),
+                (logical_conditional_joint(j, "x"), logical_conditional_partition(y, x, j._cells)),
+                (logical_mutual_joint(j), logical_mutual_partition(x, y, j._cells)),
+                (shannon_conditional_joint(j, "y"), shannon_conditional_partition(x, y, j._cells)),
+                (shannon_conditional_joint(j, "x"), shannon_conditional_partition(y, x, j._cells)),
+                (shannon_mutual_joint(j), shannon_mutual_partition(x, y, j._cells)),
+            ]
+            for joint_value, partition_value in pairs:
+                assert joint_value == partition_value
+                assert type(joint_value) is type(partition_value)
+            assert block_probabilities(x, j._cells) == j.marginal_x
+            assert block_probabilities(y, j._cells) == j.marginal_y
+
+    @pytest.mark.parametrize("kind", ["float", "exact"])
+    def test_six_pair_measures_build_one_table(self, kind, monkeypatch):
+        calls = []
+        masses = logical._masses
+        monkeypatch.setattr(logical, "_masses", lambda *a: calls.append(1) or masses(*a))
+        monkeypatch.setattr(logical, "_last_table", (None, None, None, None))
+        j = next(_seeded_joints(kind))
+        for measure in (logical_conditional_joint, shannon_conditional_joint):
+            measure(j, "y")
+            measure(j, "x")
+        logical_mutual_joint(j)
+        shannon_mutual_joint(j)
+        assert len(calls) == 3  # rows, columns and cells, once
+
+
+class TestFloatBlockMasses:
+    def test_block_masses_are_left_to_right_sums(self):
+        """The rule of a distribution's total and a joint's marginals, not fsum."""
+        assert math.fsum((0.1, 0.2, 0.3)) != 0.1 + 0.2 + 0.3
+        w = Distribution((0.1, 0.2, 0.3, 0.4))
+        assert w.probs == (0.1, 0.2, 0.3, 0.4)
+        assert block_probabilities(make_partition([{0, 1, 2}, {3}], 4), w) == (0.1 + 0.2 + 0.3, 0.4)
+
+    def test_large_float_weights_agree_with_their_exact_reading(self):
+        rng = random.Random("left-to-right-20000")
+        n = 20_000
+        raw = [rng.random() + 0.01 for _ in range(n)]
+        total = math.fsum(raw)
+        floats = Distribution(tuple(v / total for v in raw))
+        exact = Distribution(tuple(map(Fraction, floats.probs)))
+        p = _from_labels(Universe(n), [rng.randrange(7) for _ in range(n)])
+        s = _from_labels(Universe(n), [rng.randrange(300) for _ in range(n)])
+        for value, oracle in [
+            (logical_entropy_partition(p, floats), logical_entropy_partition(p, exact)),
+            (logical_mutual_partition(p, s, floats), logical_mutual_partition(p, s, exact)),
+            (shannon_entropy_partition(s, floats), shannon_entropy_partition(s, exact)),
+        ]:
+            assert type(value) is float
+            assert value == pytest.approx(float(oracle), abs=1e-12)
 
 
 class TestCrossAndDivergence:

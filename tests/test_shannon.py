@@ -237,6 +237,35 @@ def test_exact_weights_past_the_float_range():
         assert value == pytest.approx(f(*args, floats), abs=1e-12)
 
 
+TINY = Fraction(1, 10**315)  # its inverse is past the float range, itself subnormal
+
+
+def _close(value, oracle):
+    """Within 1e-12, or a few units of the subnormal spacing, finer than which a
+    subnormal value cannot be told apart."""
+    return math.isfinite(value) and math.isclose(
+        value, oracle, rel_tol=1e-12, abs_tol=4 * math.ulp(0.0)
+    )
+
+
+@pytest.mark.parametrize(
+    "t",
+    [1e-200, 1e-320, Fraction(1, 10**200), TINY],
+    ids=["float-1e-200", "float-1e-320", "exact-1e-200", "exact-1e-315"],
+)
+def test_pair_measures_of_a_cell_near_the_float_range(t):
+    """A cell whose quotient leaves the float range takes its log from its factors."""
+    w = Distribution((1 - t, t))
+    discrete, indiscrete = discrete_partition(2), indiscrete_partition(2)
+    entropy = shannon_entropy_partition(discrete, w)
+    assert entropy > 0
+    assert _close(shannon_conditional_partition(discrete, indiscrete, w), entropy)
+    assert _close(shannon_mutual_partition(discrete, discrete, w), entropy)
+    diagonal = JointDistribution(((1 - t, 0), (0, t)))
+    assert _close(shannon_mutual_joint(diagonal), shannon_entropy_dist(w))
+    assert _close(shannon_conditional_joint(JointDistribution(((1 - t, t),)), "x"), entropy)
+
+
 class TestCrossAndKL:
     def test_cross_of_self(self):
         p = Distribution((0.3, 0.7))
