@@ -2,7 +2,12 @@
 
 Partitions: blocks separated by ``|``, element indices comma-separated, e.g.
 ``0,1|2|3,4``.  The universe size is inferred as max index + 1 unless given.
-Parsing and printing round-trip exactly.
+Parsing and printing round-trip exactly.  Plain integer text is read in one
+C pass, as the JSON array of its blocks; any other token form (``01``,
+``+1``, ``1_000``, Unicode digits) falls back to reading each block with
+``int``, which gives every token its old meaning and every error its old
+message.  Blocks that come in order of least element, the form
+:func:`format_partition` writes, are not renumbered.
 
 Numbers: plain decimals or fractions like ``1/3``.  Fractions always parse
 exactly; with ``exact=True`` decimals are also read as exact rationals.
@@ -12,27 +17,52 @@ CSV with ``;`` accepted as a row separator for inline input.
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
+from itertools import chain
 
 from .errors import ParseError
 from .logical import DistanceMatrix, Distribution, JointDistribution
-from .partitions import Partition, make_partition
+from .partitions import Partition, _from_block_lists
+
+_INT = frozenset((int,))  # tested with issuperset: a C loop, stops at the first other type
+
+
+def _json_blocks(text: str, chunks: list[str]) -> list | None:
+    """The blocks as one JSON array, kept only when it is exactly the chunks' integers.
+
+    No bracket in the text, one nonempty block per chunk, and every element
+    an exact int (so ``true``, ``1.0`` and ``"1"`` are refused); else None.
+    """
+    if "[" in text or "]" in text:
+        return None
+    try:
+        blocks = json.loads("[[" + "],[".join(chunks) + "]]")
+    except (ValueError, RecursionError):
+        return None
+    if len(blocks) != len(chunks) or not all(blocks):
+        return None
+    return blocks if _INT.issuperset(map(type, chain.from_iterable(blocks))) else None
 
 
 def parse_partition(text: str, n: int | None = None) -> Partition:
-    blocks: list[list[int]] = []
-    for b, chunk in enumerate(text.strip().split("|")):
-        if not chunk.strip():
-            raise ParseError(f"empty block at position {b} in partition text {text!r}")
-        try:
-            blocks.append(list(map(int, chunk.split(","))))  # int() strips whitespace
-        except ValueError:
-            raise ParseError(
-                f"bad element index in block {b} of partition text: {chunk!r}"
-            ) from None
-    if min(map(min, blocks)) < 0:
+    chunks = text.strip().split("|")
+    blocks = _json_blocks(text, chunks)
+    if blocks is None:
+        blocks = []
+        for b, chunk in enumerate(chunks):
+            if not chunk.strip():
+                raise ParseError(f"empty block at position {b} in partition text {text!r}")
+            try:
+                blocks.append(list(map(int, chunk.split(","))))  # int() strips whitespace
+            except ValueError:
+                raise ParseError(
+                    f"bad element index in block {b} of partition text: {chunk!r}"
+                ) from None
+    minima = list(map(min, blocks))
+    if min(minima) < 0:
         raise ParseError("element indices must be nonnegative")
-    return make_partition(blocks, max(map(max, blocks)) + 1 if n is None else n)
+    return _from_block_lists(blocks, max(map(max, blocks)) + 1 if n is None else n, minima)
 
 
 def format_partition(partition: Partition) -> str:

@@ -13,7 +13,8 @@ pair of its row and column partitions of the cells, under the cell weights.
 :func:`product_measure` on a dit set is the specification it is checked against.
 The cells are the classes of the two partitions' paired labels, massed
 without building their join; the row and column sums are their own block
-masses, the numbers ``h(p)`` and :func:`block_probabilities` use.  Both
+masses, the numbers ``h(p)`` and :func:`block_probabilities` use (unweighted,
+the block sizes each partition counts once and keeps).  Both
 families read masses over the table's total ``T`` and divide by it: the
 logical measures form one numerator over ``T^2``, the Shannon ones weigh a
 cell by ``m / T``.  The last table built is kept: the conditional and mutual
@@ -316,6 +317,18 @@ def _masses(labels: Iterable, n: int, weights: Distribution | None) -> tuple:
     return masses, total, exact
 
 
+def _block_masses(partition: Partition, weights: Distribution | None) -> tuple:
+    """A partition's block masses in label order, their total T, and whether exact.
+
+    Unweighted, the block sizes the partition counted once and keeps, with
+    T = n; weighted, the values of :func:`_masses` of its labels.
+    """
+    if weights is None:
+        return partition._block_sizes, partition.universe.size, False
+    masses, total, exact = _masses(partition.labels, partition.universe.size, weights)
+    return tuple(masses.values()), total, exact
+
+
 def _ratio(numerator, denominator, exact: bool):
     """numerator / denominator: one Fraction on the exact path, plain division otherwise."""
     return Fraction(numerator, denominator) if exact else numerator / denominator
@@ -354,14 +367,10 @@ def _partition_table(p: Partition, s: Partition, weights: Distribution | None) -
     last_p, last_s, last_weights, table = _last_table
     if p is last_p and s is last_s and weights is last_weights:
         return table
-    n = p.universe.size
-    rows, total, exact = _masses(p.labels, n, weights)
-    cols = _masses(s.labels, n, weights)[0]
-    cells = _masses(zip(p.labels, s.labels), n, weights)[0]
-    table = _MassTable(
-        tuple((i, j, m) for (i, j), m in cells.items()),
-        tuple(rows.values()), tuple(cols.values()), total, exact,
-    )
+    rows, total, exact = _block_masses(p, weights)
+    cols = _block_masses(s, weights)[0]
+    cells = _masses(zip(p.labels, s.labels), p.universe.size, weights)[0]
+    table = _MassTable(tuple((i, j, m) for (i, j), m in cells.items()), rows, cols, total, exact)
     _last_table = (p, s, weights, table)
     return table
 
@@ -403,14 +412,14 @@ def logical_entropy_partition(partition: Partition, weights: Distribution | None
 
     That is |dit|/n^2 unweighted (T = n, m_B = |B|) and mu(dit) under weights.
     """
-    masses, total, exact = _masses(partition.labels, partition.universe.size, weights)
-    return _ratio(total * total - _accumulate(m * m for m in masses.values()), total * total, exact)
+    masses, total, exact = _block_masses(partition, weights)
+    return _ratio(total * total - _accumulate(m * m for m in masses), total * total, exact)
 
 
 def block_probabilities(partition: Partition, weights: Distribution | None = None) -> tuple:
     """p_B for each block: the share of weight (or of elements) it carries."""
-    masses, total, exact = _masses(partition.labels, partition.universe.size, weights)
-    return tuple(_ratio(m, total, exact) for m in masses.values())
+    masses, total, exact = _block_masses(partition, weights)
+    return tuple(_ratio(m, total, exact) for m in masses)
 
 
 def logical_conditional_partition(

@@ -23,15 +23,20 @@ restricted-growth string (Knuth, TAOCP 4A, 7.2.1.5): element 0 has label 0
 and each label is at most one more than the largest label before it, so
 blocks are numbered in order of least element.  Equality, hashing and all
 pair code (join, meet, refinement, implication, the measure tables) read the
-labels; the blocks are derived from them on first use.  :func:`_from_labels`
-renumbers any labelling by first appearance, and every partition the
-library produces goes through it, except enumeration, which generates the
-strings themselves.  Blocks are checked in one place, :func:`_labels`, which
-the public ``Partition(...)`` constructor shares with :func:`make_partition`.
+labels; the blocks, their number and their sizes are derived from them on
+first use and kept, so each measure of a partition reads one count of its
+labels.  :func:`_from_labels` renumbers any labelling by first appearance,
+and every partition the library produces goes through it, except
+enumeration, which generates the strings themselves, and blocks that already
+come in order of least element (the form :func:`logent.formats.format_partition`
+writes), whose block numbers are the string.  Blocks are checked in one
+place, :func:`_labels`, which the public ``Partition(...)`` constructor
+shares with :func:`make_partition`.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
@@ -229,11 +234,11 @@ class Partition:
     """A partition of {0, .., n-1}, held as its restricted-growth string.
 
     ``labels[u]`` is the index of u's block, blocks numbered by least element.
-    ``blocks`` and ``n_blocks``, derived and kept once built: the blocks are
-    tuples, each ascending, in that order.  ``Partition(universe, blocks)``
-    checks the blocks with the same routine as :func:`make_partition` and
-    requires them in that form; the library's own producers build the labels
-    directly and skip the check.
+    ``blocks``, ``n_blocks`` and the block sizes, derived and kept once built:
+    the blocks are tuples, each ascending, in that order.
+    ``Partition(universe, blocks)`` checks the blocks with the same routine as
+    :func:`make_partition` and requires them in that form; the library's own
+    producers build the labels directly and skip the check.
     """
 
     universe: Universe
@@ -262,6 +267,11 @@ class Partition:
     @cached_property
     def n_blocks(self) -> int:
         return max(self.labels) + 1
+
+    @cached_property
+    def _block_sizes(self) -> tuple[int, ...]:
+        """Each block's size, in label order (the order labels first appear); counted once."""
+        return tuple(Counter(self.labels).values())
 
     @property
     def is_indiscrete(self) -> bool:
@@ -325,6 +335,19 @@ def make_partition(blocks: Iterable[Iterable[int]], n: int) -> Partition:
     not a collection of collections.  Repeats within one block are allowed.
     """
     return _from_labels(Universe(n), _labels(blocks, n))
+
+
+def _from_block_lists(blocks: list[list[int]], n: int, minima: list[int]) -> Partition:
+    """:func:`make_partition` of nonempty integer lists whose least elements are ``minima``.
+
+    Blocks that already come in order of least element number their elements
+    with the restricted-growth string, so the renumbering pass is skipped.
+    """
+    universe = Universe(n)
+    labels = _labels(blocks, n)
+    if minima == sorted(minima):  # distinct once checked, so this is strictly ascending
+        return _partition(universe, tuple(labels))
+    return _from_labels(universe, labels)
 
 
 def discrete_partition(n: int) -> Partition:
@@ -451,26 +474,25 @@ def join(p: Partition, s: Partition) -> Partition:
 def meet(p: Partition, s: Partition) -> Partition:
     """Partition meet: classes of the closure of indit(p) | indit(s).
 
-    A union-find over the labels of both merges the two blocks of each
-    nonempty B & C; its roots, numbered in p-label order (first-element
+    The nodes are the labels of both; each nonempty B & C joins the
+    components of its two blocks, the smaller member list merged into the
+    larger (union by size), so a node moves O(log) times and no cell walks
+    a chain.  The components, numbered in p-label order (first-element
     order), label the result.  interior(dit(p) & dit(s)) is the specification.
     """
     _check_same_universe(p, s)
     offset = p.n_blocks  # s-label j is node offset + j
-    parent = list(range(offset + s.n_blocks))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    component = [[x] for x in range(offset + s.n_blocks)]  # node -> its component's members
     for i, j in set(zip(p.labels, s.labels)):  # one pair per nonempty B & C
-        a, b = find(i), find(offset + j)
-        if a != b:
-            parent[b] = a
+        a, b = component[i], component[offset + j]
+        if a is not b:
+            if len(a) < len(b):
+                a, b = b, a
+            a += b
+            for x in b:
+                component[x] = a
     code: dict = {}
-    roots = [code.setdefault(find(i), len(code)) for i in range(offset)]
+    roots = [code.setdefault(id(component[i]), len(code)) for i in range(offset)]
     return _partition(p.universe, tuple(map(roots.__getitem__, p.labels)))
 
 

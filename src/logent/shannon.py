@@ -14,15 +14,17 @@ substitution and checks it against the directly computed quantity.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import DomainError, LogentError, _check_positive
 from .logical import (
     Distribution,
     JointDistribution,
     _check_same_length,
+    _block_masses,
     _joint_table,
-    _masses,
     _partition_table,
 )
 from .partitions import Partition
@@ -30,59 +32,85 @@ from .partitions import Partition
 _TRANSFORM_GUARD = 1e-9
 
 
-def _log(x: float, base: float) -> float:
+def _log_to(base: float):
+    """The log to ``base``, chosen once per sum: ``math.log2``, ``math.log``, or
+    ``log(x) / log(base)``.  Each takes ints of any size, and reads any other
+    number through ``float``."""
     if base == 2.0:
-        return math.log2(x)
+        return math.log2
     if base == math.e:
-        return math.log(x)
-    return math.log(x) / math.log(base)
+        return math.log
+    scale = math.log(base)
+    return lambda x: math.log(x) / scale
 
 
-def _surprisal(p, base: float) -> float:
-    """log(1/p) with the zero convention handled by callers."""
-    return -_log(float(p), base)
+def _range_log(base: float):
+    """:func:`_log_to` that also takes a Fraction past the float range (a mass of
+    mixed Fraction and float weights), as the log of its numerator less the log
+    of its denominator."""
+    log = _log_to(base)
+
+    def range_log(x) -> float:
+        if type(x) is Fraction and not sys.float_info.min <= x <= sys.float_info.max:
+            return log(x.numerator) - log(x.denominator)
+        return log(x)
+
+    return range_log
+
+
+# what a term raises when its log or quotient leaves the float range
+_FAILED_TERM = (ValueError, OverflowError, ZeroDivisionError)
 
 
 def shannon_hartley(p0: float, base: float = 2.0) -> float:
     """log(1/p0): bits needed to single out one of 1/p0 equiprobable items."""
     if not 0.0 < float(p0) <= 1.0:
         raise DomainError(f"probability must lie in (0, 1], got {p0}")
-    return _surprisal(p0, base)
+    return -_log_to(base)(float(p0))
 
 
 def shannon_entropy_dist(p: Distribution, base: float = 2.0) -> float:
     """H(p) = sum p_i * log(1/p_i), between 0 and log(n)."""
-    return math.fsum(float(q) * _surprisal(q, base) for q in p.probs if q > 0)
+    log = _log_to(base)
+    return math.fsum(float(q) * -log(float(q)) for q in p.probs if q > 0)
 
 
 def shannon_entropy_partition(
     partition: Partition, weights: Distribution | None = None, base: float = 2.0
 ) -> float:
     """H of the block-probability vector of the partition: each block mass m over T."""
-    masses, total, _ = _masses(partition.labels, partition.universe.size, weights)
-    shares = (m / total for m in masses.values())
-    return math.fsum(q * _surprisal(q, base) for q in shares if q > 0)
+    masses, total, _ = _block_masses(partition, weights)
+    shares = [q for m in masses if (q := m / total) > 0]
+    try:
+        return _entropy_sum(shares, _log_to(base))
+    except _FAILED_TERM:
+        return _entropy_sum(shares, _range_log(base))
 
 
-def _log_quotient(top, bottom: tuple, base: float) -> float:
+def _entropy_sum(shares: list, log) -> float:
+    return math.fsum(q * -log(q) for q in shares)
+
+
+def _log_quotient(log, top, bottom: tuple) -> float:
     """log(top / prod(bottom)) of positive masses: one division while the quotient
-    is a positive finite float, else the logs of its factors (``math.log`` takes
-    huge ints and subnormal floats)."""
+    is positive and finite, else the logs of its factors (``math.log`` takes huge
+    ints and subnormal floats)."""
     try:
         quotient = top / math.prod(bottom)
     except (OverflowError, ZeroDivisionError):
         quotient = math.inf
     if 0 < quotient < math.inf:
-        return _log(quotient, base)
-    return _log(top, base) - math.fsum(_log(b, base) for b in bottom)
+        return log(quotient)
+    return log(top) - math.fsum(log(b) for b in bottom)
 
 
 def _past_float_range(table, base: float, factors) -> float:
     """The sum again, with each log of ``factors(i, j, m) = (top, bottom)`` taken by
-    :func:`_log_quotient`: run only when a direct term failed or was infinite."""
-    total = table.total
+    :func:`_log_quotient` through :func:`_range_log`: run only when a direct
+    term failed or was infinite."""
+    total, log = table.total, _range_log(base)
     return math.fsum(
-        w * _log_quotient(*factors(i, j, m), base)
+        w * _log_quotient(log, *factors(i, j, m))
         for i, j, m in table.cells
         if (w := m / total) > 0
     )
@@ -90,12 +118,12 @@ def _past_float_range(table, base: float, factors) -> float:
 
 def _shannon_conditional(table, base: float) -> float:
     """sum w * log(col / m) over the cells of weight w = m / T > 0."""
-    cols, total = table.cols, table.total
+    cols, total, log = table.cols, table.total, _log_to(base)
     try:
         value = math.fsum(
-            w * _log(cols[j] / m, base) for _, j, m in table.cells if (w := m / total) > 0
+            w * log(cols[j] / m) for _, j, m in table.cells if (w := m / total) > 0
         )
-    except OverflowError:  # an integer quotient past the float range
+    except _FAILED_TERM:
         value = math.inf
     if value < math.inf:
         return value
@@ -104,14 +132,14 @@ def _shannon_conditional(table, base: float) -> float:
 
 def _shannon_mutual(table, base: float) -> float:
     """sum w * log(m T / (row col)) over the cells of weight w = m / T > 0."""
-    rows, cols, total = table.rows, table.cols, table.total
+    rows, cols, total, log = table.rows, table.cols, table.total, _log_to(base)
     try:
         value = math.fsum(
-            w * _log(m * total / (rows[i] * cols[j]), base)
+            w * log(m * total / (rows[i] * cols[j]))
             for i, j, m in table.cells
             if (w := m / total) > 0
         )
-    except (OverflowError, ZeroDivisionError):  # row * col underflowed, or an integer overflow
+    except _FAILED_TERM:
         value = math.inf
     if value < math.inf:
         return value
@@ -162,7 +190,8 @@ def _support_sum(p: Distribution, q: Distribution, term) -> float:
 
 def shannon_cross_entropy(p: Distribution, q: Distribution, base: float = 2.0) -> float:
     """H(p||q) = sum p_i * log(1/q_i); inf when q lacks mass where p has it."""
-    return _support_sum(p, q, lambda a, b: float(a) * _surprisal(b, base))
+    log = _log_to(base)
+    return _support_sum(p, q, lambda a, b: float(a) * -log(float(b)))
 
 
 def symmetrized_cross_entropy(p: Distribution, q: Distribution, base: float = 2.0) -> float:
@@ -171,7 +200,8 @@ def symmetrized_cross_entropy(p: Distribution, q: Distribution, base: float = 2.
 
 def kl_divergence(p: Distribution, q: Distribution, base: float = 2.0) -> float:
     """D(p||q) = sum p_i * log(p_i/q_i) >= 0, zero exactly when p = q."""
-    return _support_sum(p, q, lambda a, b: float(a) * _log(float(a) / float(b), base))
+    log = _log_to(base)
+    return _support_sum(p, q, lambda a, b: float(a) * log(float(a) / float(b)))
 
 
 def symmetrized_kl_divergence(p: Distribution, q: Distribution, base: float = 2.0) -> float:
@@ -203,8 +233,9 @@ def _substitute(terms, base: float) -> float:
     Terms with w = 0 drop out (0 * log(1/0) = 0); x = 0 with w != 0 makes
     the sum infinite.
     """
+    log = _log_to(base)
     return math.fsum(
-        float(w) * (_surprisal(x, base) if x > 0 else math.inf) for w, x in terms if w != 0
+        float(w) * (-log(float(x)) if x > 0 else math.inf) for w, x in terms if w != 0
     )
 
 

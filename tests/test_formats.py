@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -38,6 +39,87 @@ class TestPartitionText:
             parse_partition("0,x|2")
         with pytest.raises(ParseError):
             parse_partition("0,1||2")
+
+
+def per_chunk_parse(text, n=None):
+    """The reference reading: each block's tokens through int(), then make_partition."""
+    blocks = []
+    for b, chunk in enumerate(text.strip().split("|")):
+        if not chunk.strip():
+            raise ParseError(f"empty block at position {b} in partition text {text!r}")
+        try:
+            blocks.append(list(map(int, chunk.split(","))))
+        except ValueError:
+            raise ParseError(
+                f"bad element index in block {b} of partition text: {chunk!r}"
+            ) from None
+    if min(map(min, blocks)) < 0:
+        raise ParseError("element indices must be nonnegative")
+    return make_partition(blocks, max(map(max, blocks)) + 1 if n is None else n)
+
+
+def outcome(parse, text, n=None):
+    try:
+        p = parse(text, n)
+    except (ParseError, InvalidPartitionError) as exc:
+        return type(exc), str(exc)
+    return p, p.labels
+
+
+def seeded_texts():
+    """Canonical, shuffled and spaced texts of seeded partitions, n from 1 to 300."""
+    rng = random.Random("partition-text")
+    for _ in range(150):
+        n = rng.randint(1, 300)
+        k = rng.randint(1, n)
+        groups = {}
+        for u in range(n):
+            groups.setdefault(rng.randrange(k), []).append(u)
+        blocks = list(groups.values())
+        yield "|".join(",".join(map(str, b)) for b in blocks)  # least-element order
+        rng.shuffle(blocks)
+        for b in blocks:
+            rng.shuffle(b)
+        yield "|".join(",".join(map(str, b)) for b in blocks)
+        yield " | ".join(" , ".join(map(str, b)) for b in blocks) + "\n"
+
+
+ODD_TEXTS = [
+    # lenient int() tokens and whitespace: JSON refuses them, the per-chunk reading accepts them
+    "01,1|2", "+1,0|2", "0,١|2", "\t0 ,1\n| 2\r", " 0,1|2",
+    ",".join(map(str, range(1000))) + ",1_000", "2|0,+0|1",
+    # JSON-only tokens
+    "0,1.0|2", "1e2|0", "true|0", "0|false", "null|0", "NaN|0", "Infinity|0", '"1"|0', "0,{}|1",
+    '{"a":' * 5000 + "0" + "}" * 5000 + "|0",  # nested past the JSON reader's recursion limit
+    # bracket injections
+    "0],[1", "[0]|1", "0,[|],1", "[[0]]", "0]|[1",
+    # empty blocks and text
+    "0||1", "|0", "0|", " ", "", "0, |1", "0,,1", ",0|1",
+    # negative indices, overlaps, gaps
+    "-1|0", "0,-0|1", "0|-2,1", "0,1|1", "0|2", "0,0|1", "1|0|1",
+]
+
+
+class TestPartitionTextReading:
+    """The one-pass JSON reading gives the partition, or the error, that int() per block gives."""
+
+    @pytest.mark.parametrize("text", ODD_TEXTS)
+    def test_odd_tokens(self, text):
+        assert outcome(parse_partition, text) == outcome(per_chunk_parse, text)
+
+    def test_seeded_texts(self):
+        for text in seeded_texts():
+            assert outcome(parse_partition, text) == outcome(per_chunk_parse, text)
+
+    @pytest.mark.parametrize("n", [1, 3, 4])
+    def test_explicit_size(self, n):
+        for text in ("0,1|2", "2|1,0", "0|1,x", "0,1||2"):
+            assert outcome(parse_partition, text, n) == outcome(per_chunk_parse, text, n)
+
+    def test_formatted_text_is_read_back(self):
+        for text in seeded_texts():
+            p = parse_partition(text)
+            assert parse_partition(format_partition(p)) == p
 
 
 class TestNumbers:

@@ -4,12 +4,13 @@ import math
 import random
 import sys
 import threading
+from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
-from logent import cli, logical
+from logent import cli, logical, partitions
 from logent.errors import (
     DomainError,
     InvalidDistanceMatrixError,
@@ -531,6 +532,34 @@ class TestPairTableMargins:
                 for sums in (table.rows, table.cols)
             ]
             assert shares == [block_probabilities(p, weights), block_probabilities(s, weights)]
+
+    def test_an_unweighted_report_counts_each_partition_once(self, monkeypatch):
+        """h(p), h(s), the pair table and H(p) read one count of each partition's labels."""
+        counted = []
+
+        def counting(iterable=()):
+            counted.append(iterable)
+            return Counter(iterable)
+
+        for module in (logical, partitions):
+            monkeypatch.setattr(module, "Counter", counting, raising=False)
+        monkeypatch.setattr(logical, "_last_table", (None, None, None, None))
+        rng = random.Random("count-once")
+        p, s = (
+            _from_labels(Universe(300), [rng.randrange(k) for _ in range(300)]) for k in (40, 7)
+        )
+        values = [
+            logical_entropy_partition(p),
+            logical_entropy_partition(s),
+            logical_conditional_partition(p, s),
+            logical_mutual_partition(p, s),
+            shannon_entropy_partition(p),
+            shannon_mutual_partition(p, s),
+        ]
+        assert [sum(labels is x.labels for labels in counted) for x in (p, s)] == [1, 1]
+        assert values[:2] == [
+            (300**2 - sum(len(b) ** 2 for b in x.blocks)) / 300**2 for x in (p, s)
+        ]
 
 
 class TestJointMeasures:

@@ -435,6 +435,54 @@ class TestJoinMeet:
             meet(discrete_partition(3), discrete_partition(4))
 
 
+def random_partition(n, r):
+    """A seeded partition of n elements with between 1 and n labels drawn."""
+    k = r.choice([1, 2, r.randint(1, n), n])
+    groups = {}
+    for u in range(n):
+        groups.setdefault(r.randrange(k), []).append(u)
+    return make_partition(list(groups.values()), n)
+
+
+def union_find_meet_labels(p, s):
+    """Meet labels by a union-find over elements: u joins the first element of its blocks."""
+    n = p.universe.size
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for labels in (p.labels, s.labels):
+        first = {}
+        for u, label in enumerate(labels):
+            a, b = find(u), find(first.setdefault(label, u))
+            if a != b:
+                parent[max(a, b)] = min(a, b)
+    code = {}
+    return tuple(code.setdefault(find(u), len(code)) for u in range(n))
+
+
+class TestMeetByMergingBlocks:
+    """The meet merges block member lists; its specification is the closure of the indit sets."""
+
+    def test_equals_closure_of_indit_union(self):
+        r = random.Random("meet-closure")
+        for _ in range(300):
+            n = r.randint(1, 60)
+            p, s = random_partition(n, r), random_partition(n, r)
+            spec = partition_from_equivalence(rst_closure(indit_set(p) | indit_set(s)))
+            assert meet(p, s) == spec and meet(p, s).labels == spec.labels
+
+    def test_equals_union_find_up_to_3000(self):
+        r = random.Random("meet-union-find")
+        for n in (61, 200, 1000, 2048, 3000):
+            for _ in range(4):
+                p, s = random_partition(n, r), random_partition(n, r)
+                assert meet(p, s).labels == union_find_meet_labels(p, s)
+
+
 class TestImplicationRefines:
     def test_self_implication_is_discrete(self):
         p = make_partition([{0, 1}, {2, 3}], 4)

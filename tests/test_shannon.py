@@ -266,6 +266,30 @@ def test_pair_measures_of_a_cell_near_the_float_range(t):
     assert _close(shannon_conditional_joint(JointDistribution(((1 - t, t),)), "x"), entropy)
 
 
+def _mixed_weight_measures(t):
+    """H(discrete), H(discrete | indiscrete) and I(discrete, discrete) under weights (t, 1.0)."""
+    w = Distribution((t, 1.0))  # t is a Fraction below 1e-16: the float total stays 1.0
+    assert w.probs[0] is t and not w.is_exact
+    discrete, indiscrete = discrete_partition(2), indiscrete_partition(2)
+    return (
+        shannon_entropy_partition(discrete, w),
+        shannon_conditional_partition(discrete, indiscrete, w),
+        shannon_mutual_partition(discrete, discrete, w),
+    )
+
+
+def test_mixed_weights_with_a_fraction_below_the_float_range():
+    """Each value is t * log2(1/t), about 1.3e-397 here: below the float range, so 0.0."""
+    assert _mixed_weight_measures(Fraction(1, 10**400)) == (0.0, 0.0, 0.0)
+
+
+def test_mixed_weights_with_a_fraction_inside_the_float_range():
+    t = Fraction(1, 10**300)
+    oracle = 1e-300 * math.log2(1e300)
+    for value in _mixed_weight_measures(t):
+        assert math.isclose(value, oracle, rel_tol=1e-12)
+
+
 class TestCrossAndKL:
     def test_cross_of_self(self):
         p = Distribution((0.3, 0.7))
