@@ -6,8 +6,10 @@ Parsing and printing round-trip exactly.  Plain integer text is read in one
 C pass, as the JSON array of its blocks; any other token form (``01``,
 ``+1``, ``1_000``, Unicode digits) falls back to reading each block with
 ``int``, which gives every token its old meaning and every error its old
-message.  Blocks that come in order of least element, the form
-:func:`format_partition` writes, are not renumbered.
+message.  Blocks that hold each element exactly once skip the element by
+element check, which names every other fault; blocks in order of least
+element, the form :func:`format_partition` writes, are not renumbered.
+Printing is one ``repr`` of the block lists with its separators rewritten.
 
 Numbers: plain decimals or fractions like ``1/3``.  Fractions always parse
 exactly; with ``exact=True`` decimals are also read as exact rationals.
@@ -62,11 +64,13 @@ def parse_partition(text: str, n: int | None = None) -> Partition:
     minima = list(map(min, blocks))
     if min(minima) < 0:
         raise ParseError("element indices must be nonnegative")
-    return _from_block_lists(blocks, max(map(max, blocks)) + 1 if n is None else n, minima)
+    top = max(map(max, blocks))
+    return _from_block_lists(blocks, top + 1 if n is None else n, minima, top)
 
 
 def format_partition(partition: Partition) -> str:
-    return "|".join(",".join(str(u) for u in block) for block in partition.blocks)
+    """The blocks as text: one ``repr`` of the element lists, separators rewritten."""
+    return repr(partition._groups())[2:-2].replace("], [", "|").replace(", ", ",")
 
 
 def parse_number(token: str, exact: bool = False):

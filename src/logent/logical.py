@@ -11,8 +11,10 @@ space: a partition pair becomes one table of block-intersection masses, and
 one formula per quantity is evaluated over it.  A joint distribution is the
 pair of its row and column partitions of the cells, under the cell weights.
 :func:`product_measure` on a dit set is the specification it is checked against.
-The cells are the classes of the two partitions' paired labels, massed
-without building their join; the row and column sums are their own block
+The cells are the blocks of the two partitions' join, read from the one
+kept pairing of their labels (:func:`logent.partitions._join_cells`), so a
+report's join, meet and table pair the labels once; a cell's mass is its
+join block's mass.  The row and column sums are the partitions' own block
 masses, the numbers ``h(p)`` and :func:`block_probabilities` use (unweighted,
 the block sizes each partition counts once and keeps).  Both
 families read masses over the table's total ``T`` and divide by it: the
@@ -38,7 +40,6 @@ from __future__ import annotations
 import math
 import numbers
 import operator
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
@@ -53,7 +54,14 @@ from .errors import (
     SizeMismatchError,
     _check_positive,
 )
-from .partitions import Partition, PairRelation, Universe, _check_same_universe, _partition
+from .partitions import (
+    Partition,
+    PairRelation,
+    Universe,
+    _check_same_universe,
+    _join_cells,
+    _partition,
+)
 
 NORMALIZATION_TOLERANCE = 1e-9
 IDENTITY_TOLERANCE = 1e-12
@@ -296,17 +304,15 @@ def identification_probability(p: Distribution):
     return _accumulate(q * q for q in p.probs)
 
 
-def _masses(labels: Iterable, n: int, weights: Distribution | None) -> tuple:
-    """Masses of the classes of a labelling of 0..n-1, their total T, and whether exact.
+def _masses(labels: Iterable, n: int, weights: Distribution) -> tuple:
+    """Weighted masses of the classes of a labelling of 0..n-1, their total T, and whether exact.
 
     Masses come as label -> mass in order of first appearance (block order
-    for a partition).  Unweighted: sizes with T = n.  Weighted: left-to-right
-    sums, the rule of a distribution's total and a joint's marginals, of the
-    integer numerators with T = D, their common denominator, under exact
-    weights, and of the weights with T = 1 under float weights.
+    for a partition): left-to-right sums, the rule of a distribution's total
+    and a joint's marginals, of the integer numerators with T = D, their
+    common denominator, under exact weights, and of the weights with T = 1
+    under float weights.
     """
-    if weights is None:
-        return Counter(labels), n, False
     if len(weights) != n:
         raise SizeMismatchError(f"weights of length {len(weights)} for a universe of size {n}")
     exact = weights.is_exact
@@ -356,8 +362,8 @@ _last_table: tuple = (None, None, None, None)
 def _partition_table(p: Partition, s: Partition, weights: Distribution | None) -> _MassTable:
     """Nonempty intersections B & C of the blocks of p (rows) and s (columns).
 
-    Cells come in order of first element, the join's block order; row and
-    column sums are the two partitions' own block masses, the numbers
+    The cells are the kept join's, in its block order, massed as its blocks;
+    row and column sums are the two partitions' own block masses, the numbers
     :func:`logical_entropy_partition` and :func:`block_probabilities` use.
     The last table is reused for the very same objects: the key is identity,
     because equal weights may differ in kind (float or exact).
@@ -369,8 +375,9 @@ def _partition_table(p: Partition, s: Partition, weights: Distribution | None) -
         return table
     rows, total, exact = _block_masses(p, weights)
     cols = _block_masses(s, weights)[0]
-    cells = _masses(zip(p.labels, s.labels), p.universe.size, weights)[0]
-    table = _MassTable(tuple((i, j, m) for (i, j), m in cells.items()), rows, cols, total, exact)
+    joined, cells = _join_cells(p, s)
+    cells = zip(cells, _block_masses(joined, weights)[0])
+    table = _MassTable(tuple((i, j, m) for (i, j), m in cells), rows, cols, total, exact)
     _last_table = (p, s, weights, table)
     return table
 

@@ -25,13 +25,19 @@ blocks are numbered in order of least element.  Equality, hashing and all
 pair code (join, meet, refinement, implication, the measure tables) read the
 labels; the blocks, their number and their sizes are derived from them on
 first use and kept, so each measure of a partition reads one count of its
-labels.  :func:`_from_labels` renumbers any labelling by first appearance,
-and every partition the library produces goes through it, except
+labels.  One pass, :func:`_join_cells`, pairs two partitions' labels into
+the join and its cells, which the meet and the measure tables read; it keeps
+its last result, so a caller that runs several pair operations on the same
+two objects pairs their labels once.  Refinement and implication keep passes
+of their own, which can stop early.  :func:`_from_labels` renumbers any
+labelling by first appearance, and every partition the library produces
+goes through it, except
 enumeration, which generates the strings themselves, and blocks that already
 come in order of least element (the form :func:`logent.formats.format_partition`
 writes), whose block numbers are the string.  Blocks are checked in one
 place, :func:`_labels`, which the public ``Partition(...)`` constructor
-shares with :func:`make_partition`.
+shares with :func:`make_partition`; parsed text that holds each element
+exactly once skips it.
 """
 
 from __future__ import annotations
@@ -259,10 +265,14 @@ class Partition:
     @cached_property
     def blocks(self) -> tuple[tuple[int, ...], ...]:
         """The classes of the labels, in label order; built once, not a field."""
+        return tuple(map(tuple, self._groups()))
+
+    def _groups(self) -> list[list[int]]:
+        """The elements of each block, ascending, as fresh lists in label order."""
         groups: list[list[int]] = [[] for _ in range(self.n_blocks)]
         for u, label in enumerate(self.labels):
             groups[label].append(u)
-        return tuple(map(tuple, groups))
+        return groups
 
     @cached_property
     def n_blocks(self) -> int:
@@ -276,10 +286,6 @@ class Partition:
     @property
     def is_indiscrete(self) -> bool:
         return self.n_blocks == 1
-
-    def block_index_of(self) -> list[int]:
-        """Map element -> index of its block, as a fresh list over 0..n-1."""
-        return list(self.labels)
 
 
 def _partition(universe: Universe, rgs: tuple[int, ...]) -> Partition:
@@ -337,14 +343,24 @@ def make_partition(blocks: Iterable[Iterable[int]], n: int) -> Partition:
     return _from_labels(Universe(n), _labels(blocks, n))
 
 
-def _from_block_lists(blocks: list[list[int]], n: int, minima: list[int]) -> Partition:
-    """:func:`make_partition` of nonempty integer lists whose least elements are ``minima``.
+def _from_block_lists(blocks: list[list[int]], n: int, minima: list[int], top: int) -> Partition:
+    """:func:`make_partition` of nonempty lists of nonnegative ints, least ``minima``.
 
+    Blocks that hold each of 0..n-1 once (none past n, by their largest
+    element ``top``, and n elements filling every slot) are scattered straight
+    into labels; any other (a repeat, an overlap, a gap, an element past n)
+    go through :func:`_labels`, which allows the repeat and names the fault.
     Blocks that already come in order of least element number their elements
     with the restricted-growth string, so the renumbering pass is skipped.
     """
     universe = Universe(n)
-    labels = _labels(blocks, n)
+    labels = [-1] * n if top < n and sum(map(len, blocks)) == n else None
+    if labels is not None:
+        for b, members in enumerate(blocks):
+            for u in members:
+                labels[u] = b
+    if labels is None or -1 in labels:
+        labels = _labels(blocks, n)
     if minima == sorted(minima):  # distinct once checked, so this is strictly ascending
         return _partition(universe, tuple(labels))
     return _from_labels(universe, labels)
@@ -461,29 +477,55 @@ def partition_from_equivalence(relation: PairRelation) -> Partition:
 # ----------------------------------------------------------------------
 
 
+# (p, s, join, cells) of the last pair whose labels were paired, in one tuple so
+# that one assignment replaces key and value together: safe to read from any thread
+_last_join: tuple = (None, None, None, None)
+
+
+def _join_cells(p: Partition, s: Partition) -> tuple[Partition, tuple]:
+    """The join of p and s and its cells: one (p-label, s-label) per join block, in label order.
+
+    The one pass that pairs the two label vectors, read by :func:`join`,
+    :func:`meet` and the measure tables.  The last pair is kept, keyed by
+    identity, so several pair operations on the same two objects pair their
+    labels once.
+    """
+    global _last_join
+    last_p, last_s, joined, cells = _last_join
+    if p is last_p and s is last_s:
+        return joined, cells
+    _check_same_universe(p, s)
+    code: dict = {}  # (p-label, s-label) -> join label, numbered by first element
+    labels = tuple([code.setdefault(cell, len(code)) for cell in zip(p.labels, s.labels)])
+    joined, cells = _partition(p.universe, labels), tuple(code)
+    _last_join = (p, s, joined, cells)
+    return joined, cells
+
+
 def join(p: Partition, s: Partition) -> Partition:
     """Blockwise join: the nonempty intersections B & C, labelled u -> (p(u), s(u)).
 
     Its dit set is exactly dit(p) | dit(s); the equality is enforced by the
     verification suites.
     """
-    _check_same_universe(p, s)
-    return _from_labels(p.universe, zip(p.labels, s.labels))
+    return _join_cells(p, s)[0]
 
 
 def meet(p: Partition, s: Partition) -> Partition:
     """Partition meet: classes of the closure of indit(p) | indit(s).
 
-    The nodes are the labels of both; each nonempty B & C joins the
-    components of its two blocks, the smaller member list merged into the
-    larger (union by size), so a node moves O(log) times and no cell walks
-    a chain.  The components, numbered in p-label order (first-element
-    order), label the result.  interior(dit(p) & dit(s)) is the specification.
+    The nodes are the labels of both; each cell of the join (one nonempty
+    B & C) joins the components of its two blocks, the smaller member list
+    merged into the larger (union by size), so a node moves O(log) times and
+    no cell walks a chain.  The components, numbered in p-label order
+    (first-element order), label the result.  The cells come from the kept
+    join, so a meet after the join of the same pair pairs no labels.
+    interior(dit(p) & dit(s)) is the specification.
     """
-    _check_same_universe(p, s)
+    cells = _join_cells(p, s)[1]
     offset = p.n_blocks  # s-label j is node offset + j
     component = [[x] for x in range(offset + s.n_blocks)]  # node -> its component's members
-    for i, j in set(zip(p.labels, s.labels)):  # one pair per nonempty B & C
+    for i, j in cells:
         a, b = component[i], component[offset + j]
         if a is not b:
             if len(a) < len(b):

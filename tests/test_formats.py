@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -12,7 +13,14 @@ from logent.formats import (
     parse_joint,
     parse_partition,
 )
-from logent.partitions import make_partition
+from logent.partitions import (
+    Universe,
+    _from_labels,
+    discrete_partition,
+    indiscrete_partition,
+    join,
+    make_partition,
+)
 
 
 class TestPartitionText:
@@ -120,6 +128,66 @@ class TestPartitionTextReading:
         for text in seeded_texts():
             p = parse_partition(text)
             assert parse_partition(format_partition(p)) == p
+
+    @pytest.mark.parametrize(
+        "text, n",
+        [
+            ("0,0,1|2", 3),  # a repeat inside a block: allowed
+            ("0,0,1|2", 4),
+            ("0,1|1,2", 3),  # an overlap
+            ("0,1|2,1", 4),
+            ("0|2", 3),  # a gap
+            ("0,1|3", 4),
+            ("0,1|5", 3),  # an element past n
+            ("0,1|2", 2),
+            ("0,1|2", 3),  # each element once: the direct scatter
+            ("2|1,0", 3),
+            ("0,3|1|2", 5),  # count short of n
+            ("0,1,1|3", 3),  # count equal to n, with an element past n
+            ("0,1,1|2", 4),  # count equal to n, with a repeat and a gap
+        ],
+    )
+    def test_explicit_size_faults(self, text, n):
+        assert outcome(parse_partition, text, n) == outcome(per_chunk_parse, text, n)
+
+
+def generator_format(partition):
+    """The former formatter: one ``str`` per element and one join per block."""
+    return "|".join(",".join(str(u) for u in block) for block in partition.blocks)
+
+
+def labelled(labels):
+    return _from_labels(Universe(len(labels)), labels)
+
+
+def formatter_cases():
+    """The n = 2048 report shapes (1, 64 and 256 blocks, and the join of the last two),
+    the discrete and indiscrete partitions, n = 1, and 300 seeded partitions up to n = 300."""
+    rng = random.Random("format-partition")
+    n = 2048
+    p, s = (labelled([rng.randrange(k) for _ in range(n)]) for k in (256, 64))
+    yield from (indiscrete_partition(n), s, p, join(p, s))
+    for m in (1, 2, 7, n):
+        yield from (discrete_partition(m), indiscrete_partition(m))
+    for _ in range(300):
+        m = rng.randint(1, 300)
+        k = rng.randint(1, m)
+        yield labelled([rng.randrange(k) for _ in range(m)])
+
+
+class TestFormatPartition:
+    """One ``repr`` of the element lists, separators rewritten, is the former text byte for byte."""
+
+    def test_baseline_shapes(self):
+        blocks = [p.n_blocks for p in itertools.islice(formatter_cases(), 4)]
+        assert blocks[:3] == [1, 64, 256] and blocks[3] > 1900
+
+    def test_same_text_as_the_generator_formatter(self):
+        for p in formatter_cases():
+            text = format_partition(p)
+            assert text == generator_format(p)
+            assert parse_partition(text) == p
+            assert parse_partition(text, p.universe.size).labels == p.labels
 
 
 class TestNumbers:

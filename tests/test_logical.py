@@ -22,6 +22,8 @@ from logent.logical import (
     DistanceMatrix,
     Distribution,
     JointDistribution,
+    _logical_conditional,
+    _logical_mutual,
     _partition_table,
     block_probabilities,
     identification_probability,
@@ -430,7 +432,7 @@ class TestPairTableReuse:
             logical_conditional_partition(self.P, self.S),
             logical_mutual_partition(self.S, self.P),
         ]
-        labels = self.P.block_index_of()
+        labels = list(self.P.labels)
         labels.reverse()
         labels[0] = 9
         after = [
@@ -446,7 +448,13 @@ class TestPairTableReuse:
         pairs = [self.A, self.B, (discrete_partition(6), self.B[0])]
         weights = [None, THIRDS_OF_SIX, Distribution.uniform(6)]
         jobs = [(p, s, w) for p, s in pairs for w in weights]
-        fns = (logical_conditional_partition, logical_mutual_partition, shannon_mutual_partition)
+        fns = (
+            logical_conditional_partition,
+            logical_mutual_partition,
+            shannon_mutual_partition,
+            lambda p, s, _: join(p, s).labels,  # the kept join is shared state too
+            lambda p, s, _: meet(p, s).labels,
+        )
         expected = [[fn(*job) for fn in fns] for job in jobs]
         wrong = []
 
@@ -468,6 +476,100 @@ class TestPairTableReuse:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert wrong == []
+
+
+def element_cells(p, s, weights):
+    """(p-label, s-label, mass) per nonempty B & C in order of first element, summed element by
+    element: counts unweighted, integer numerators under exact weights, floats left to right."""
+    if weights is None:
+        values = [1] * p.universe.size
+    else:
+        values = weights._integers[0] if weights.is_exact else weights.probs
+    masses = {}
+    for i, j, value in zip(p.labels, s.labels, values):
+        masses[i, j] = masses.get((i, j), 0) + value
+    return tuple((i, j, m) for (i, j), m in masses.items())
+
+
+def seeded_weights(kind, n, rng):
+    raw = [rng.randint(0, 9) for _ in range(n)]
+    raw[rng.randrange(n)] += 1  # never all zero
+    return {
+        "unweighted": None,
+        "exact": Distribution(tuple(Fraction(x, sum(raw)) for x in raw)),
+        "float": Distribution(tuple(x / sum(raw) for x in raw)),
+    }[kind]
+
+
+class TestTableFromKeptJoin:
+    """The table's cells are the kept join's, massed as the join's blocks."""
+
+    @staticmethod
+    def interleaved(n, rng):
+        p, s, s2 = (
+            _from_labels(Universe(n), [rng.randrange(rng.randint(1, n)) for _ in range(n)])
+            for _ in range(3)
+        )
+        return [(p, s), (s, p), (p, s2), (p, s)]
+
+    @pytest.mark.parametrize("kind", ["unweighted", "exact", "float"])
+    def test_interleaved_pairs(self, kind):
+        rng = random.Random(f"kept-join-table-{kind}")
+        for n in [rng.randint(1, 60) for _ in range(12)] + [61, 500, 3000]:
+            weights = seeded_weights(kind, n, rng)
+            for k, (p, s) in enumerate(self.interleaved(n, rng)):
+                if k % 2:  # odd steps find this pair's join kept, even ones the reversed pair's
+                    join(p, s)
+                table = _partition_table(p, s, weights)
+                meet(s, p)
+                copies = [_from_labels(x.universe, x.labels) for x in (p, s)]
+                assert table == _partition_table(*copies, weights)
+                assert table.cells == element_cells(p, s, weights)
+                if n > 60:
+                    continue
+                cond, mutual = _logical_conditional(table), _logical_mutual(table)
+                oracles = dit_set(p) - dit_set(s), mutual_dit_set(p, s)
+                if weights is None:
+                    assert [cond, mutual] == [len(r) / (n * n) for r in oracles]
+                elif kind == "exact":
+                    assert [cond, mutual] == [product_measure(r, weights) for r in oracles]
+                else:
+                    expected = [product_measure(r, weights) for r in oracles]
+                    assert [cond, mutual] == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("kind", ["unweighted", "exact", "float"])
+    def test_a_full_report_pairs_the_labels_once(self, kind, monkeypatch):
+        """join, meet and every pair measure of one (p, s) pair the two label vectors once.
+
+        implication and refines keep passes of their own, so they are left out.
+        """
+        rng = random.Random(f"pair-once-{kind}")
+        n = 300
+        p, s = (_from_labels(Universe(n), [rng.randrange(k) for _ in range(n)]) for k in (40, 7))
+        weights = seeded_weights(kind, n, rng)
+        pairings = []
+
+        def counting_zip(*iterables):
+            if sorted(map(id, iterables)) == sorted((id(p.labels), id(s.labels))):
+                pairings.append(iterables)
+            return zip(*iterables)
+
+        for module in (logical, partitions):
+            monkeypatch.setattr(module, "zip", counting_zip, raising=False)
+        monkeypatch.setattr(logical, "_last_table", (None, None, None, None))
+        monkeypatch.setattr(partitions, "_last_join", (None, None, None, None), raising=False)
+        joined, met = join(p, s), meet(p, s)
+        cond = logical_conditional_partition(p, s, weights)
+        for measure in (
+            logical_mutual_partition,
+            shannon_conditional_partition,
+            shannon_mutual_partition,
+        ):
+            measure(p, s, weights)
+        assert len(pairings) == 1
+        h_join, h_s = (logical_entropy_partition(x, weights) for x in (joined, s))
+        assert cond == pytest.approx(h_join - h_s, abs=1e-12)
+        assert met.labels == meet(_from_labels(p.universe, p.labels), s).labels
 
 
 class TestPairTableAtTheDenseLimit:

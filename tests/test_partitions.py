@@ -16,6 +16,8 @@ from logent.partitions import (
     PairRelation,
     Partition,
     Universe,
+    _from_labels,
+    _join_cells,
     bell_number,
     discrete_partition,
     dit_set,
@@ -180,18 +182,18 @@ class TestBlockLabels:
     P = make_partition([{0, 3}, {1}, {2, 4}], 5)
 
     def test_labels_follow_blocks(self):
-        assert self.P.block_index_of() == [0, 1, 2, 0, 2]
+        assert list(self.P.labels) == [0, 1, 2, 0, 2]
 
     def test_each_call_hands_out_a_fresh_copy(self):
-        labels = self.P.block_index_of()
+        """The labels are an immutable tuple: a caller edits its own list copy."""
+        assert type(self.P.labels) is tuple
+        labels = list(self.P.labels)
         labels[0], labels[4] = 7, 7
-        assert self.P.block_index_of() == [0, 1, 2, 0, 2]
-        assert self.P.block_index_of() is not self.P.block_index_of()
+        assert self.P.labels == (0, 1, 2, 0, 2)
 
     def test_cached_labels_leave_value_alone(self):
         fresh = make_partition([{0, 3}, {1}, {2, 4}], 5)
         used = make_partition([{0, 3}, {1}, {2, 4}], 5)
-        used.block_index_of()
         assert used.blocks == ((0, 3), (1,), (2, 4)) and used.n_blocks == 3
         join(used, used)
         assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
@@ -481,6 +483,67 @@ class TestMeetByMergingBlocks:
             for _ in range(4):
                 p, s = random_partition(n, r), random_partition(n, r)
                 assert meet(p, s).labels == union_find_meet_labels(p, s)
+
+
+def element_join_labels(p, s):
+    """Join labels from the elements: u's block is the least v with both labels of u."""
+    n = p.universe.size
+    order = sorted(range(n), key=lambda u: (p.labels[u], s.labels[u], u))
+    least = {}
+    for u in order:
+        least.setdefault((p.labels[u], s.labels[u]), u)
+    code = {}
+    return tuple(code.setdefault(least[(p.labels[u], s.labels[u])], len(code)) for u in range(n))
+
+
+def copy_of(p):
+    """An equal partition that is another object, so no kept result is keyed by it."""
+    return _from_labels(p.universe, p.labels)
+
+
+class TestKeptJoin:
+    """join and meet read one kept pairing of the labels, keyed by the identity of (p, s)."""
+
+    @staticmethod
+    def interleaved(n, r):
+        p, s, s2 = (random_partition(n, r) for _ in range(3))
+        return [(p, s), (s, p), (p, s2), (p, s)]
+
+    def test_interleaved_pairs_match_the_dense_specification(self):
+        r = random.Random("kept-join-dense")
+        for _ in range(40):
+            for p, s in self.interleaved(r.randint(1, 60), r):
+                joined, met = join(p, s), meet(p, s)
+                assert joined.labels == join(copy_of(p), copy_of(s)).labels
+                assert met.labels == meet(copy_of(p), copy_of(s)).labels
+                spec_join = partition_from_equivalence(indit_set(p) & indit_set(s))
+                spec_meet = partition_from_equivalence(rst_closure(indit_set(p) | indit_set(s)))
+                assert joined.labels == spec_join.labels and met.labels == spec_meet.labels
+
+    def test_interleaved_pairs_match_the_elements_up_to_3000(self):
+        r = random.Random("kept-join-elements")
+        for n in (61, 200, 1000, 2048, 3000):
+            for p, s in self.interleaved(n, r):
+                assert meet(p, s).labels == union_find_meet_labels(p, s)
+                assert join(p, s).labels == element_join_labels(p, s)
+                assert meet(p, s).labels == meet(copy_of(p), copy_of(s)).labels
+
+    def test_cells_are_the_join_blocks_labels(self):
+        r = random.Random("kept-join-cells")
+        for _ in range(100):
+            n = r.randint(1, 80)
+            p, s = random_partition(n, r), random_partition(n, r)
+            joined, cells = _join_cells(p, s)
+            assert joined is join(p, s)
+            assert cells == tuple((p.labels[b[0]], s.labels[b[0]]) for b in joined.blocks)
+
+    def test_universe_mismatch_after_a_kept_pair(self):
+        p = discrete_partition(3)
+        join(p, p)
+        with pytest.raises(SizeMismatchError):
+            meet(p, discrete_partition(4))
+        with pytest.raises(SizeMismatchError):
+            join(discrete_partition(4), p)
 
 
 class TestImplicationRefines:
