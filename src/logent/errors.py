@@ -22,7 +22,7 @@ class SizeMismatchError(LogentError, ValueError):
 
 
 class LimitExceededError(LogentError, ValueError):
-    """A combinatorial sweep was requested beyond the configured cap."""
+    """A request exceeds a configured cap, or needs more memory than can be allocated."""
 
 
 class InvalidDistributionError(LogentError, ValueError):

@@ -22,11 +22,14 @@ For a cumulative value ``c < 1``, ``u > c`` holds exactly when
 ``x >= floor(c * 2**53) << 11``; a value ``>= 1`` is never below ``u``.  So
 a draw is the number of these integer steps that are ``<= x``.  A guide
 table of 2**12 buckets, on the top 12 bits of ``x``, holds that count at each
-bucket's lowest word (Chen & Asau 1974; Devroye 1986, III.2.4); only a draw
-in a bucket that holds a step (about (k-1)/4096 of the draws for k outcomes)
-is searched.  The draws come in chunks of 15 * 2**10: since a draw depends
-only on its index, chunking changes no value, and a consumer that reads the
-chunks as they come never holds an index per draw.  The words are mixed in place.
+bucket's lowest word (Chen & Asau 1974; Devroye 1986, III.2.4).  The caller's
+value per outcome (its number, ``1 - p`` or ``log2 p``) is composed into that
+table once per call, NaN marking a bucket that holds a step, so a draw is one
+gather into the caller's values.  The finisher's last ``x ^= x >> 31`` keeps
+the top 12 bits, so only NaN draws (about (k-1)/4096 for k outcomes) get it,
+and a search.  Chunks of 15 * 2**10 draws change no value; a call reuses one
+chunk's words, shift scratch and NaN flags, and the chunk's Weyl offsets
+``k * GOLDEN_GAMMA`` are built once per process.
 """
 from __future__ import annotations
 
@@ -80,19 +83,32 @@ def _check_start(start) -> None:
         raise DomainError(f"start must be a nonnegative integer, got {start!r}")
 
 
+_offsets = None  # k * GOLDEN_GAMMA for k = 1 .. _CHUNK, built on first use
+
+
+def _mixed(seed: int, start: int, z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Outputs start+1 .. start+z.size (at most ``_CHUNK``) into ``z``, short of the last xor-shift."""
+    global _offsets
+    import numpy as np
+
+    if _offsets is None:
+        _offsets = np.arange(1, _CHUNK + 1, dtype=np.uint64) * np.uint64(GOLDEN_GAMMA)
+    np.add(_offsets[: z.size], np.uint64((seed + start * GOLDEN_GAMMA) & _MASK64), out=z)
+    for shift, mix in ((30, _MIX_1), (27, _MIX_2)):
+        np.bitwise_xor(z, np.right_shift(z, np.uint64(shift), out=scratch[: z.size]), out=z)
+        np.multiply(z, np.uint64(mix), out=z)
+    return z
+
+
 def batch_uint64(seed: int, start: int, count: int) -> np.ndarray:
     """Outputs start+1 .. start+count (mod 2**64) of the stream, identical to the scalar view."""
     import numpy as np
 
     _check_start(start)
-    z = np.arange(1, count + 1, dtype=np.uint64)
-    np.multiply(z, np.uint64(GOLDEN_GAMMA), out=z)
-    np.add(z, np.uint64((seed + start * GOLDEN_GAMMA) & _MASK64), out=z)  # state at output start
-    scratch = np.empty_like(z)  # the finalizer runs in place on z
-    for shift, mix in ((30, _MIX_1), (27, _MIX_2)):
-        np.bitwise_xor(z, np.right_shift(z, np.uint64(shift), out=scratch), out=z)
-        np.multiply(z, np.uint64(mix), out=z)
-    return np.bitwise_xor(z, np.right_shift(z, np.uint64(31), out=scratch), out=z)
+    z, scratch = np.empty(count, dtype=np.uint64), np.empty(min(count, _CHUNK), dtype=np.uint64)
+    for lo in range(0, count, _CHUNK):
+        _mixed(seed, start + lo, z[lo : lo + _CHUNK], scratch)
+    return np.bitwise_xor(z, z >> np.uint64(31), out=z)
 
 
 def batch_units(seed: int, start: int, count: int) -> np.ndarray:
@@ -111,40 +127,40 @@ def cumulative_weights(probs) -> list[float]:
     return cum
 
 
-def _guide(cumulative: list[float]) -> tuple[np.ndarray, np.ndarray]:
-    """The steps ``floor(c * 2**53) << 11`` for the values ``c < 1``, and the guide table.
+def _draw_chunks(seed: int, start: int, count: int, cumulative: list[float], table, out=None):
+    """Yield ``(lo, values)`` per chunk: ``values[j] = table[i]`` for the outcome i of draw lo + j.
 
-    Table entry b is the number of steps ``<= b << 52``, the bucket's lowest
-    word, or -1 when a step lies inside the bucket, so that its draws are searched.
-    """
-    import numpy as np
-
-    cum = np.asarray(cumulative, dtype=np.float64)
-    cum = cum[: np.searchsorted(cum, 1.0, side="left")]
-    steps = np.floor(cum * 2.0**53).astype(np.uint64) << np.uint64(11)
-    lows = np.arange(1 << _GUIDE_BITS, dtype=np.uint64) << np.uint64(64 - _GUIDE_BITS)
-    base = np.searchsorted(steps, lows, side="right")
-    top = np.searchsorted(steps, lows | np.uint64((1 << (64 - _GUIDE_BITS)) - 1), side="right")
-    return steps, np.where(top == base, base, -1)
-
-
-def _index_chunks(seed: int, start: int, count: int, cumulative: list[float]):
-    """Yield ``(offset, indices)`` for each chunk of at most ``_CHUNK`` draws.
-
-    Offset 0 is stream output ``start + 1``, as in :func:`batch_uint64`.
+    Draw 0 is stream output ``start + 1``.  The values are ``out[lo : lo + n]``,
+    or without ``out`` one chunk buffer that the next chunk overwrites.
     """
     import numpy as np
 
     _check_start(start)
-    steps, table = _guide(cumulative)
-    shift = np.uint64(64 - _GUIDE_BITS)
+    cum = np.asarray(cumulative, dtype=np.float64)
+    steps = np.floor(cum[: np.searchsorted(cum, 1.0)] * 2.0**53).astype(np.uint64) << np.uint64(11)
+    # bucket b holds table[i] for the number i of steps <= its lowest word b << 52, or NaN
+    # when a step lies inside it, so that its draws are searched
+    lows = np.arange(1 << _GUIDE_BITS, dtype=np.uint64) << np.uint64(64 - _GUIDE_BITS)
+    base = np.searchsorted(steps, lows, side="right")
+    top = np.searchsorted(steps, lows | np.uint64((1 << (64 - _GUIDE_BITS)) - 1), side="right")
+    table = np.asarray(table, dtype=np.float64)
+    composed = np.where(top == base, table[base], np.nan)
+    del lows, base, top  # the chunks keep only the composed table
+    size = min(count, _CHUNK)
+    z, scratch, searched = np.empty(size, np.uint64), np.empty(size, np.uint64), np.empty(size, bool)
+    chunk = np.empty(size) if out is None else None
     for lo in range(0, count, _CHUNK):
-        words = batch_uint64(seed, start + lo, min(_CHUNK, count - lo))
-        indices = table[(words >> shift).view(np.int64)]  # a signed index gathers faster
-        inside = np.flatnonzero(indices < 0)
+        n = min(_CHUNK, count - lo)
+        words = _mixed(seed, start + lo, z[:n], scratch)
+        values = chunk[:n] if out is None else out[lo : lo + n]
+        buckets = np.right_shift(words, np.uint64(64 - _GUIDE_BITS), out=scratch[:n])
+        # a signed index gathers faster; every bucket is in range, so "wrap" never acts
+        np.take(composed, buckets.view(np.int64), out=values, mode="wrap")
+        inside = np.isnan(values, out=searched[:n]).nonzero()[0]
         if inside.size:
-            indices[inside] = np.searchsorted(steps, words[inside], side="right")
-        yield lo, indices
+            x = words[inside]
+            values[inside] = table[np.searchsorted(steps, x ^ (x >> np.uint64(31)), side="right")]
+        yield lo, values
 
 
 def batch_indices(seed: int, start: int, count: int, cumulative: list[float]) -> np.ndarray:
@@ -152,6 +168,6 @@ def batch_indices(seed: int, start: int, count: int, cumulative: list[float]) ->
     import numpy as np
 
     out = np.empty(count, dtype=np.intp)
-    for lo, indices in _index_chunks(seed, start, count, cumulative):
-        out[lo : lo + indices.size] = indices
+    for lo, drawn in _draw_chunks(seed, start, count, cumulative, np.arange(len(cumulative) + 1)):
+        out[lo : lo + drawn.size] = drawn
     return out

@@ -7,13 +7,14 @@ messages.  The estimators here check those limits empirically.
 
 Every run is a pure function of its arguments: the stream is SplitMix64 (see
 :mod:`logent.rng`), consumed in draw order, so two runs with the same seed
-produce bit-identical reports.  Each chunk of draws is written straight into
-the values, so an estimator holds 8 bytes per value it averages plus one
-chunk's word and index arrays, never an index per draw.  The values reuse one
-buffer per thread, so a call neither faults in fresh pages nor leaves a large
-hole in malloc's heap.  Standard errors come from the sample variance, taken in
-place on the consumed values, not from analytic formulas, so they remain honest
-for arbitrary user-supplied distributions.
+produce bit-identical reports.  Each draw is gathered straight into the values
+from a per-outcome table, so an estimator holds 8 bytes per value it averages
+plus one chunk's scratch, never an index per draw; a count too large to
+allocate raises :class:`LimitExceededError`.  The values reuse one buffer per
+thread, so a call neither faults in fresh pages nor leaves a large hole in
+malloc's heap.  Standard errors come from the sample variance, taken in place
+on the consumed values, not from analytic formulas, so they remain honest for
+arbitrary user-supplied distributions.
 The typical-message check is a sampled one: real message ensembles only
 concentrate asymptotically, so membership of an exact typical set is not
 tested, only the convergence of the observed bits-per-letter.
@@ -27,9 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import _check_positive, _check_seed
+from .errors import LimitExceededError, _check_positive, _check_seed
 from .logical import Distribution
-from .rng import _index_chunks, cumulative_weights
+from .rng import _draw_chunks, cumulative_weights
 from .shannon import shannon_entropy_dist
 
 _scratch = threading.local()
@@ -54,8 +55,12 @@ def _std_error(values: np.ndarray) -> float:
 def _values(count: int) -> np.ndarray:
     """This thread's float64 buffer for ``count`` values, reused by its next call."""
     if getattr(_scratch, "values", np.empty(0)).size < count:
-        _scratch.values = None  # the old buffer goes before the new one comes
-        _scratch.values = np.empty(count)
+        _scratch.values = np.empty(0)  # the old buffer goes before the new one comes
+        try:
+            _scratch.values = np.empty(count)
+        except MemoryError:
+            message = f"cannot allocate {count} sampled values ({8 * count} bytes)"
+            raise LimitExceededError(message) from None
     return _scratch.values[:count]
 
 
@@ -72,15 +77,6 @@ def _report(values: np.ndarray, seed: int) -> SampleReport:
     return SampleReport(float(mean), n, std_error, seed)
 
 
-def _per_draw(p: Distribution, count: int, seed: int, table: np.ndarray) -> np.ndarray:
-    """``table[i]`` for the outcome ``i`` of each of stream draws 1 .. count."""
-    values = _values(count)
-    for lo, indices in _index_chunks(seed, 0, count, cumulative_weights(p.probs)):
-        # every index is in range, so "clip" never acts; it spares "raise"'s buffered copy
-        np.take(table, indices, out=values[lo : lo + indices.size], mode="clip")
-    return values
-
-
 def pair_distinction_rate(p: Distribution, trials: int, seed: int) -> SampleReport:
     """Fraction of independent draw pairs that land on distinct outcomes.
 
@@ -90,8 +86,9 @@ def pair_distinction_rate(p: Distribution, trials: int, seed: int) -> SampleRepo
     _check_positive("trials", trials)
     _check_seed(seed)
     distinct = _values(trials)
-    for lo, indices in _index_chunks(seed, 0, 2 * trials, cumulative_weights(p.probs)):
-        np.not_equal(indices[0::2], indices[1::2], out=distinct[lo // 2 : (lo + indices.size) // 2])
+    outcomes = np.arange(len(p.probs), dtype=float)
+    for lo, drawn in _draw_chunks(seed, 0, 2 * trials, cumulative_weights(p.probs), outcomes):
+        np.not_equal(drawn[0::2], drawn[1::2], out=distinct[lo // 2 : (lo + drawn.size) // 2])
     return _report(distinct, seed)
 
 
@@ -103,7 +100,10 @@ def average_difference_rate(p: Distribution, sequence_length: int, seed: int) ->
     """
     _check_positive("sequence_length", sequence_length)
     _check_seed(seed)
-    values = _per_draw(p, sequence_length, seed, 1.0 - np.array(p.probs, dtype=float))
+    values = _values(sequence_length)
+    one_minus = 1.0 - np.array(p.probs, dtype=float)
+    for _ in _draw_chunks(seed, 0, sequence_length, cumulative_weights(p.probs), one_minus, values):
+        pass  # each chunk is gathered straight into values
     return _report(values, seed)
 
 
@@ -122,7 +122,9 @@ def typical_message_stats(
     probs = np.array(p.probs, dtype=float)
     # zero-mass outcomes are never drawn, so their entry is never read
     log2_probs = np.log2(probs, out=np.zeros_like(probs), where=probs > 0)
-    log_probs = _per_draw(p, samples * message_length, seed, log2_probs)
+    log_probs = _values(samples * message_length)
+    for _ in _draw_chunks(seed, 0, log_probs.size, cumulative_weights(p.probs), log2_probs, log_probs):
+        pass
     per_message = -log_probs.reshape(samples, message_length).sum(axis=1) / message_length
     return _report(per_message, seed)
 

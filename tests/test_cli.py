@@ -261,6 +261,12 @@ class TestSampleCommand:
         _, second, _ = run(capsys, *args)
         assert first == second
 
+    def test_count_too_large_to_allocate_exits_one(self, capsys):
+        # 8 * 10**15 bytes is beyond any address space, so nothing is really allocated
+        code, out, err = run(capsys, "sample", "pairs", "1/2,1/2", "--trials", str(10**15), "--seed", "1")
+        assert (code, out) == (1, "")
+        assert err == f"error: cannot allocate {10**15} sampled values ({8 * 10**15} bytes)\n"
+
 
 class TestStirlingCommand:
     def test_two_blocks(self, capsys):

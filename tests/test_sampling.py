@@ -1,4 +1,6 @@
 import math
+import re
+import sys
 import threading
 import tracemalloc
 from bisect import bisect_left
@@ -10,12 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import logent.rng
-from logent.errors import DomainError
+from logent.errors import DomainError, LimitExceededError
 from logent.logical import Distribution, logical_entropy_dist
 from logent.rng import (
     _CHUNK,
     SplitMix64,
-    _index_chunks,
+    _draw_chunks,
     batch_indices,
     batch_uint64,
     batch_units,
@@ -30,6 +32,40 @@ from logent.sampling import (
     typical_count_log,
     typical_message_stats,
 )
+
+
+def inject_words(monkeypatch, words):
+    """Make stream outputs start+1 .. start+n be ``words[start : start + n]`` in every batch view.
+
+    The seam is ``rng._mixed``, which stops short of the finisher's last
+    ``x ^= x >> 31``; it is handed the words that this xor-shift maps to ``words``.
+    """
+    before = words ^ (words >> np.uint64(31)) ^ (words >> np.uint64(62))
+
+    def mixed(seed, start, z, scratch):
+        z[:] = before[start : start + z.size]
+        return z
+
+    monkeypatch.setattr(logent.rng, "_mixed", mixed)
+    assert np.array_equal(batch_uint64(0, 0, words.size), words)
+
+
+def value_tables(p):
+    """The per-outcome tables the estimators compose into the guide: number, 1 - p and log2 p."""
+    probs = np.array(p.probs, dtype=float)
+    return {
+        "outcome": np.arange(len(probs), dtype=float),
+        "one-minus-p": 1.0 - probs,
+        "log2-p": np.log2(probs, out=np.zeros_like(probs), where=probs > 0),
+    }
+
+
+def _drawn(cum, table, count):
+    """The production kernel's values for draws 1 .. count of seed 0, gathered into one array."""
+    out = np.empty(count)
+    for _ in _draw_chunks(0, 0, count, cum, table, out):
+        pass
+    return out
 
 
 class TestGenerator:
@@ -123,12 +159,10 @@ class TestGenerator:
         scalar = SplitMix64(0).draw_index(cum)
         assert probs[scalar] > 0
         # batch path: the all-ones word is the same forced draw u = 1.0
-        top = np.full(1, 2**64 - 1, dtype=np.uint64)
-        monkeypatch.setattr(
-            logent.rng, "batch_uint64", lambda seed, start, count: top.repeat(count)
-        )
-        batch = batch_indices(0, 0, 3, cum)
-        assert batch.tolist() == [scalar] * 3
+        inject_words(monkeypatch, np.full(3, 2**64 - 1, dtype=np.uint64))
+        assert batch_indices(0, 0, 3, cum).tolist() == [scalar] * 3
+        for table in value_tables(Distribution(probs)).values():
+            assert _drawn(cum, table, 3).tolist() == [table[scalar]] * 3
 
     @pytest.mark.parametrize("start", [0, 12345])
     @pytest.mark.parametrize("count", [2**16 - 1, 2**16, 2**16 + 1, 3 * 2**16 + 5])
@@ -188,16 +222,25 @@ class TestGuideKernel:
 
     @pytest.mark.parametrize("probs", KERNEL_CASES.values(), ids=KERNEL_CASES.keys())
     def test_forced_words_match_float_spec(self, probs, monkeypatch):
-        cum = cumulative_weights(Distribution(probs).probs)
+        p = Distribution(probs)
+        cum = cumulative_weights(p.probs)
         words = _forced_words(cum)
-        monkeypatch.setattr(
-            logent.rng, "batch_uint64", lambda seed, start, count: words[start : start + count]
-        )
+        inject_words(monkeypatch, words)
         expected = spec_indices(0, 0, words.size, cum)
         assert np.array_equal(batch_indices(0, 0, words.size, cum), expected)
         # the float spec itself agrees with the scalar bisection on these words
         units = batch_units(0, 0, words.size)
         assert [bisect_left(cum, u) for u in units[::97].tolist()] == expected[::97].tolist()
+        # each composed table gives its value of the outcome, on either side of a chunk edge
+        tables = value_tables(p)
+        for name, table in tables.items():
+            assert np.array_equal(_drawn(cum, table, words.size), table[expected]), name
+        # and the estimators read these words through the same kernel
+        pairs = words.size // 2
+        distinct = (expected[0 : 2 * pairs : 2] != expected[1 : 2 * pairs : 2]).astype(np.float64)
+        assert pair_distinction_rate(p, pairs, 0) == _report(distinct, 0)
+        assert average_difference_rate(p, words.size, 0) == _report(tables["one-minus-p"][expected], 0)
+        assert typical_message_stats(p, 1, words.size, 0) == _report(-tables["log2-p"][expected], 0)
 
     @pytest.mark.parametrize("start", [0, 12345])
     @pytest.mark.parametrize("probs", KERNEL_CASES.values(), ids=KERNEL_CASES.keys())
@@ -215,12 +258,18 @@ class TestGuideKernel:
     )
     def test_chunks_tile_the_draws(self, count, start):
         cum = cumulative_weights((0.3, 0.0, 0.45, 0.25))
-        chunks = list(_index_chunks(5, start, count, cum))
+        outcomes = np.arange(4.0)
+        # without ``out`` each chunk reuses one buffer, so it is copied as it comes
+        chunks = [(lo, v.copy()) for lo, v in _draw_chunks(5, start, count, cum, outcomes)]
         assert [lo for lo, _ in chunks] == list(range(0, count, _CHUNK))
-        assert all(0 < idx.size <= _CHUNK for _, idx in chunks)
-        assert sum(idx.size for _, idx in chunks) == count
-        drawn = np.concatenate([idx for _, idx in chunks])
+        assert all(0 < v.size <= _CHUNK for _, v in chunks)
+        assert sum(v.size for _, v in chunks) == count
+        drawn = np.concatenate([v for _, v in chunks])
         assert np.array_equal(drawn, spec_indices(5, start, count, cum))
+        # with ``out`` each chunk is written in place into ``out``
+        out = np.empty(count)
+        assert all(v.base is out for _, v in _draw_chunks(5, start, count, cum, outcomes, out))
+        assert np.array_equal(out, drawn)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -357,7 +406,7 @@ class TestPairDistinctionRate:
             pair_distinction_rate(Distribution.uniform(2), 0, 1)
 
     def test_memory_peak_stays_bounded(self):
-        # one 8-byte flag per pair (7.6 MiB) plus one chunk's words and indices;
+        # one 8-byte flag per pair (7.6 MiB) plus one chunk's scratch and outcome numbers;
         # no index per draw, and the variance needs no second array
         peak = _traced_peak(pair_distinction_rate, Distribution((0.5, 0.3, 0.2)), 10**6, 42)
         assert peak < 12 * 2**20
@@ -384,7 +433,7 @@ class TestAverageDifferenceRate:
         assert average_difference_rate(p, 5000, 17) == average_difference_rate(p, 5000, 17)
 
     def test_memory_peak_stays_bounded(self):
-        # one 8-byte value per draw plus one chunk's words and indices, never an index per draw
+        # one 8-byte value per draw plus one chunk's scratch, never an index per draw
         peak = _traced_peak(average_difference_rate, Distribution((0.5, 0.3, 0.2)), 10**6, 7)
         assert peak < 12 * 2**20
 
@@ -449,14 +498,14 @@ class TestValuesBuffer:
     """The estimators' values buffer is kept per thread and reused from call to call."""
 
     def test_chunk_arrays_stay_under_the_mapping_threshold(self):
-        # 8-byte words and indices below malloc's default 128 KiB mmap threshold
+        # 8-byte words and values below malloc's default 128 KiB mmap threshold
         assert _CHUNK % 2 == 0 and 8 * _CHUNK < 128 * 2**10
 
     def test_repeated_call_allocates_no_new_values(self):
         p = Distribution((0.5, 0.3, 0.2))
         first = pair_distinction_rate(p, 10**6, 42)
         peak = _traced_peak(pair_distinction_rate, p, 10**6, 42)
-        assert peak < 2**20  # one chunk's arrays, not another 7.6 MiB of flags
+        assert peak < 2**20  # one chunk's scratch, not another 7.6 MiB of flags
         assert pair_distinction_rate(p, 10**6, 42) == first
 
     def test_a_larger_call_before_leaves_no_trace(self):
@@ -467,19 +516,54 @@ class TestValuesBuffer:
 
     def test_threads_do_not_share_values(self):
         p = Distribution((0.5, 1 / 3, 1 / 6))
+        cum = cumulative_weights(p.probs)
+        calls = [
+            lambda seed: pair_distinction_rate(p, 200_000, seed),
+            lambda seed: average_difference_rate(p, 200_000, seed),
+            lambda seed: typical_message_stats(p, 1000, 200, seed),
+            lambda seed: batch_indices(seed, 0, 200_000, cum).tolist(),
+        ]
         seeds = range(20, 26)
-        expected = [pair_distinction_rate(p, 200_000, s) for s in seeds]
-        got = [None] * len(expected)
+        expected = [[call(s) for call in calls] for s in seeds]
+        got = [[None] * len(calls) for _ in seeds]
 
         def run(k, seed):
-            got[k] = pair_distinction_rate(p, 200_000, seed)
+            # each thread starts at another call, so different calls overlap
+            for j in range(len(calls)):
+                j = (j + k) % len(calls)
+                got[k][j] = calls[j](seed)
 
-        threads = [threading.Thread(target=run, args=ks) for ks in enumerate(seeds)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=run, args=ks) for ks in enumerate(seeds)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
         assert got == expected
+
+    @pytest.mark.parametrize(
+        "estimator, args",
+        [
+            (pair_distinction_rate, (10**15,)),
+            (average_difference_rate, (10**15,)),
+            (typical_message_stats, (10**9, 10**6)),
+        ],
+        ids=["pairs", "seqavg", "typical"],
+    )
+    def test_count_too_large_to_allocate_is_refused(self, estimator, args):
+        # 8 * 10**15 bytes is beyond any address space, so nothing is really allocated
+        p = Distribution((0.5, 0.3, 0.2))
+        message = f"cannot allocate {10**15} sampled values ({8 * 10**15} bytes)"
+        with pytest.raises(LimitExceededError, match=re.escape(message)):
+            estimator(p, *args, 1)
+        # the thread's buffer is still usable afterwards
+        small = (3,) * len(args)
+        assert estimator(p, *small, 1) == estimator(p, *small, 1)
 
 
 class TestReportShape:
