@@ -139,7 +139,7 @@ def _parse_weights(args) -> Distribution | None:
 def _dit_count(partition) -> int:
     """|dit| = n^2 - sum |B|^2: ordered pairs split by the partition."""
     n = partition.universe.size
-    return n * n - sum(len(b) * len(b) for b in partition.blocks)
+    return n * n - sum(size * size for size in partition._block_sizes)
 
 
 # ----------------------------------------------------------------------

@@ -6,6 +6,10 @@ applies in every sum, and a cross entropy or divergence evaluated against a
 zero probability where the reference puts mass is reported as ``math.inf``
 rather than raised, since that is the correct limiting value.
 
+Every sum runs through :func:`_range_sum`, its one way past the float range:
+a sum whose term leaves that range, or whose value is infinite, runs once
+more on its masses as exact Fractions.
+
 The termwise substitution log(1/p) <-> (1 - p) turns each logical compound
 formula into its Shannon counterpart; :func:`dit_bit_transform` performs the
 substitution and checks it against the directly computed quantity.
@@ -24,6 +28,7 @@ from .logical import (
     JointDistribution,
     _check_same_length,
     _block_masses,
+    _MassTable,
     _joint_table,
     _partition_table,
 )
@@ -45,9 +50,9 @@ def _log_to(base: float):
 
 
 def _range_log(base: float):
-    """:func:`_log_to` that also takes a Fraction past the float range (a mass of
-    mixed Fraction and float weights), as the log of its numerator less the log
-    of its denominator."""
+    """:func:`_log_to` that also takes a Fraction past the float range, as the log
+    of its numerator less the log of its denominator: the log of the exact
+    retry of :func:`_range_sum`."""
     log = _log_to(base)
 
     def range_log(x) -> float:
@@ -58,8 +63,40 @@ def _range_log(base: float):
     return range_log
 
 
-# what a term raises when its log or quotient leaves the float range
-_FAILED_TERM = (ValueError, OverflowError, ZeroDivisionError)
+def _range_sum(total_of, base: float, *masses) -> float:
+    """``total_of(log, *masses)``: every Shannon sum, and its one way past the float range.
+
+    The sum runs with :func:`_log_to` on the masses as they are.  If a term
+    fails (its quotient or log leaves the float range) or the sum comes out
+    infinite, the same sum runs once more on the masses as exact Fractions,
+    with :func:`_range_log`: an exact quotient or product cannot leave the
+    float range, and ``_range_log`` takes a Fraction past it.  That costs
+    O(terms) Fraction work on those inputs only.  A sum against missing mass
+    is infinite either way.
+    """
+    try:
+        value = total_of(_log_to(base), *masses)
+    except (ValueError, OverflowError, ZeroDivisionError):
+        value = math.inf
+    if value < math.inf:
+        return value
+    return total_of(_range_log(base), *map(_exact, masses))
+
+
+def _exact(masses):
+    """A mass, a sequence of masses or a mass table, as exact Fractions; cell indices stay ints."""
+    if isinstance(masses, _MassTable):
+        cells = tuple((i, j, Fraction(m)) for i, j, m in masses.cells)
+        return _MassTable(cells, *map(_exact, (masses.rows, masses.cols, masses.total)), True)
+    if isinstance(masses, (tuple, list)):
+        return tuple(map(_exact, masses))
+    return Fraction(masses)
+
+
+def _over_total(p: Distribution) -> tuple:
+    """A distribution's entries as masses over a total T, so that m / T is float(p_i):
+    the integer numerators over D when exact, the entries over 1.0 otherwise."""
+    return p._integers or (p.probs, 1.0)
 
 
 def shannon_hartley(p0: float, base: float = 2.0) -> float:
@@ -69,10 +106,14 @@ def shannon_hartley(p0: float, base: float = 2.0) -> float:
     return -_log_to(base)(float(p0))
 
 
+def _entropy_sum(log, masses, total) -> float:
+    """sum q * log(1/q) over the shares q = m / T > 0."""
+    return math.fsum(q * -log(q) for m in masses if (q := m / total) > 0)
+
+
 def shannon_entropy_dist(p: Distribution, base: float = 2.0) -> float:
     """H(p) = sum p_i * log(1/p_i), between 0 and log(n)."""
-    log = _log_to(base)
-    return math.fsum(float(q) * -log(float(q)) for q in p.probs if q > 0)
+    return _range_sum(_entropy_sum, base, *_over_total(p))
 
 
 def shannon_entropy_partition(
@@ -80,77 +121,30 @@ def shannon_entropy_partition(
 ) -> float:
     """H of the block-probability vector of the partition: each block mass m over T."""
     masses, total, _ = _block_masses(partition, weights)
-    shares = [q for m in masses if (q := m / total) > 0]
-    try:
-        return _entropy_sum(shares, _log_to(base))
-    except _FAILED_TERM:
-        return _entropy_sum(shares, _range_log(base))
+    return _range_sum(_entropy_sum, base, masses, total)
 
 
-def _entropy_sum(shares: list, log) -> float:
-    return math.fsum(q * -log(q) for q in shares)
+def _conditional_sum(log, table) -> float:
+    """sum w * log(col / m) over the cells of weight w = m / T > 0."""
+    cols, total = table.cols, table.total
+    return math.fsum(w * log(cols[j] / m) for _, j, m in table.cells if (w := m / total) > 0)
 
 
-def _log_quotient(log, top, bottom: tuple) -> float:
-    """log(top / prod(bottom)) of positive masses: one division while the quotient
-    is positive and finite, else the logs of its factors (``math.log`` takes huge
-    ints and subnormal floats)."""
-    try:
-        quotient = top / math.prod(bottom)
-    except (OverflowError, ZeroDivisionError):
-        quotient = math.inf
-    if 0 < quotient < math.inf:
-        return log(quotient)
-    return log(top) - math.fsum(log(b) for b in bottom)
-
-
-def _past_float_range(table, base: float, factors) -> float:
-    """The sum again, with each log of ``factors(i, j, m) = (top, bottom)`` taken by
-    :func:`_log_quotient` through :func:`_range_log`: run only when a direct
-    term failed or was infinite."""
-    total, log = table.total, _range_log(base)
+def _mutual_sum(log, table) -> float:
+    """sum w * log(m T / (row col)) over the cells of weight w = m / T > 0."""
+    rows, cols, total = table.rows, table.cols, table.total
     return math.fsum(
-        w * _log_quotient(log, *factors(i, j, m))
+        w * log(m * total / (rows[i] * cols[j]))
         for i, j, m in table.cells
         if (w := m / total) > 0
     )
-
-
-def _shannon_conditional(table, base: float) -> float:
-    """sum w * log(col / m) over the cells of weight w = m / T > 0."""
-    cols, total, log = table.cols, table.total, _log_to(base)
-    try:
-        value = math.fsum(
-            w * log(cols[j] / m) for _, j, m in table.cells if (w := m / total) > 0
-        )
-    except _FAILED_TERM:
-        value = math.inf
-    if value < math.inf:
-        return value
-    return _past_float_range(table, base, lambda i, j, m: (cols[j], (m,)))
-
-
-def _shannon_mutual(table, base: float) -> float:
-    """sum w * log(m T / (row col)) over the cells of weight w = m / T > 0."""
-    rows, cols, total, log = table.rows, table.cols, table.total, _log_to(base)
-    try:
-        value = math.fsum(
-            w * log(m * total / (rows[i] * cols[j]))
-            for i, j, m in table.cells
-            if (w := m / total) > 0
-        )
-    except _FAILED_TERM:
-        value = math.inf
-    if value < math.inf:
-        return value
-    return _past_float_range(table, base, lambda i, j, m: (m * total, (rows[i], cols[j])))
 
 
 def shannon_conditional_joint(
     joint: JointDistribution, given: str = "y", base: float = 2.0
 ) -> float:
     """H(x|y) = sum p(x,y) * log(p(y)/p(x,y)) (swap axes with given='x')."""
-    return _shannon_conditional(_joint_table(joint, given), base)
+    return _range_sum(_conditional_sum, base, _joint_table(joint, given))
 
 
 def shannon_conditional_partition(
@@ -160,38 +154,42 @@ def shannon_conditional_partition(
 
     Equals H(p v s) - H(s).
     """
-    return _shannon_conditional(_partition_table(p, s, weights), base)
+    return _range_sum(_conditional_sum, base, _partition_table(p, s, weights))
 
 
 def shannon_mutual_joint(joint: JointDistribution, base: float = 2.0) -> float:
     """I(x,y) = sum p(x,y) * log(p(x,y) / (p(x)p(y))); zero cells contribute 0."""
-    return _shannon_mutual(_joint_table(joint), base)
+    return _range_sum(_mutual_sum, base, _joint_table(joint))
 
 
 def shannon_mutual_partition(
     p: Partition, s: Partition, weights: Distribution | None = None, base: float = 2.0
 ) -> float:
     """I(p,s) = sum over nonempty B & C of p_BC * log(p_BC / (p_B p_C))."""
-    return _shannon_mutual(_partition_table(p, s, weights), base)
+    return _range_sum(_mutual_sum, base, _partition_table(p, s, weights))
 
 
-def _support_sum(p: Distribution, q: Distribution, term) -> float:
-    """sum of term(p_i, q_i) where p_i > 0; inf when q lacks mass there."""
+def _support_sum(p: Distribution, q: Distribution, term, base: float) -> float:
+    """sum of term(log, p_i, q_i) where p_i > 0, each read as m / T of :func:`_over_total`;
+    inf when q lacks mass there."""
     _check_same_length(p, q)
-    total = 0.0
-    for a, b in zip(p.probs, q.probs):
-        if a <= 0:
-            continue
-        if b <= 0:
-            return math.inf
-        total += term(a, b)
-    return total
+
+    def total_of(log, ps, p_total, qs, q_total):
+        total = 0.0
+        for a, b in zip(ps, qs):
+            if a <= 0:
+                continue
+            if b <= 0:
+                return math.inf
+            total += term(log, a / p_total, b / q_total)
+        return total
+
+    return _range_sum(total_of, base, *_over_total(p), *_over_total(q))
 
 
 def shannon_cross_entropy(p: Distribution, q: Distribution, base: float = 2.0) -> float:
     """H(p||q) = sum p_i * log(1/q_i); inf when q lacks mass where p has it."""
-    log = _log_to(base)
-    return _support_sum(p, q, lambda a, b: float(a) * -log(float(b)))
+    return _support_sum(p, q, lambda log, a, b: a * -log(b), base)
 
 
 def symmetrized_cross_entropy(p: Distribution, q: Distribution, base: float = 2.0) -> float:
@@ -200,8 +198,7 @@ def symmetrized_cross_entropy(p: Distribution, q: Distribution, base: float = 2.
 
 def kl_divergence(p: Distribution, q: Distribution, base: float = 2.0) -> float:
     """D(p||q) = sum p_i * log(p_i/q_i) >= 0, zero exactly when p = q."""
-    log = _log_to(base)
-    return _support_sum(p, q, lambda a, b: float(a) * log(float(a) / float(b)))
+    return _support_sum(p, q, lambda log, a, b: a * log(a / b), base)
 
 
 def symmetrized_kl_divergence(p: Distribution, q: Distribution, base: float = 2.0) -> float:
@@ -227,16 +224,13 @@ def bit_to_dit(bits: float, base: float = 2.0) -> float:
     return -math.expm1(-bits * math.log(base))
 
 
-def _substitute(terms, base: float) -> float:
+def _substituted_sum(log, terms) -> float:
     """Map each logical term w * (1 - x) to w * log(1/x) and sum the images.
 
     Terms with w = 0 drop out (0 * log(1/0) = 0); x = 0 with w != 0 makes
     the sum infinite.
     """
-    log = _log_to(base)
-    return math.fsum(
-        float(w) * (-log(float(x)) if x > 0 else math.inf) for w, x in terms if w != 0
-    )
+    return math.fsum(w * -log(x) if x > 0 else math.inf for w, x in terms if w != 0)
 
 
 def dit_bit_transform(kind: str, *inputs, base: float = 2.0) -> float:
@@ -292,7 +286,7 @@ def dit_bit_transform(kind: str, *inputs, base: float = 2.0) -> float:
         ]
     else:
         raise DomainError(f"unknown transform selector {kind!r}")
-    value = _substitute(terms, base)
+    value = _range_sum(_substituted_sum, base, terms)
     if math.isinf(value) or math.isinf(direct):
         if value != direct:
             raise LogentError(f"transform of {kind!r} disagrees with the direct value")

@@ -164,6 +164,34 @@ class TestCompareCommand:
         assert code == 1
 
 
+BELOW = f"1/{10**400},{10**400 - 1}/{10**400}"  # exact (t, 1 - t), t below the float range
+
+
+class TestFloatRange:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("entropy", BELOW),
+            ("joint", BELOW.replace(",", ",0;0,")),
+            ("compare", "1/2,1/2", BELOW),
+            ("sample", "typical", BELOW, "--length", "50", "--samples", "5"),
+        ],
+        ids=["entropy", "joint", "compare", "sample-typical"],
+    )
+    def test_exact_mass_below_the_float_range(self, capsys, argv):
+        code, out, _ = run(capsys, *argv, "--exact")
+        assert code == 0
+        for value in [*out["outputs"].values(), *out["residuals"].values()]:
+            if not isinstance(value, (bool, list)):
+                assert math.isfinite(as_number(value))
+
+    def test_divergence_past_the_float_range_is_finite(self, capsys):
+        code, out, _ = run(capsys, "compare", "1/2,1/2", "5e-324,1")
+        assert code == 0
+        assert out["outputs"]["D_pq"] == 536.0
+        assert out["outputs"]["D_sym"] == 268.5
+
+
 class TestVerifyCommand:
     def test_small_sweep_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--max-n", "3", "--seed", "11")

@@ -238,6 +238,7 @@ def test_exact_weights_past_the_float_range():
 
 
 TINY = Fraction(1, 10**315)  # its inverse is past the float range, itself subnormal
+BELOW = Fraction(1, 10**400)  # below the float range: float(BELOW) is 0.0
 
 
 def _close(value, oracle):
@@ -248,17 +249,33 @@ def _close(value, oracle):
     )
 
 
+def _log2(x) -> float:
+    """log2 of a positive rational, from the logs of its numerator and denominator."""
+    x = Fraction(x)
+    return math.log2(x.numerator) - math.log2(x.denominator)
+
+
+def _oracle(p, q, divergence=False) -> float:
+    """H(p||q), or D(p||q) with ``divergence``, termwise from :func:`_log2`."""
+    return math.fsum(
+        float(a) * ((_log2(a) if divergence else 0.0) - _log2(b))
+        for a, b in zip(p.probs, q.probs)
+        if a > 0
+    )
+
+
 @pytest.mark.parametrize(
     "t",
-    [1e-200, 1e-320, Fraction(1, 10**200), TINY],
-    ids=["float-1e-200", "float-1e-320", "exact-1e-200", "exact-1e-315"],
+    [1e-200, 1e-320, Fraction(1, 10**200), TINY, BELOW],
+    ids=["float-1e-200", "float-1e-320", "exact-1e-200", "exact-1e-315", "exact-1e-400"],
 )
 def test_pair_measures_of_a_cell_near_the_float_range(t):
-    """A cell whose quotient leaves the float range takes its log from its factors."""
+    """A cell whose quotient leaves the float range takes its log from exact masses."""
     w = Distribution((1 - t, t))
     discrete, indiscrete = discrete_partition(2), indiscrete_partition(2)
     entropy = shannon_entropy_partition(discrete, w)
-    assert entropy > 0
+    # positive for every t but BELOW, whose t * log2(1/t) is itself below the float range
+    assert _close(entropy, _oracle(w, w)) and (entropy > 0) == (t is not BELOW)
     assert _close(shannon_conditional_partition(discrete, indiscrete, w), entropy)
     assert _close(shannon_mutual_partition(discrete, discrete, w), entropy)
     diagonal = JointDistribution(((1 - t, 0), (0, t)))
@@ -329,6 +346,74 @@ class TestCrossAndKL:
 
     def test_kl_infinite(self):
         assert kl_divergence(Distribution((0.5, 0.5)), Distribution((1, 0))) == math.inf
+
+    @pytest.mark.parametrize(
+        "p, q",
+        [
+            (Distribution.uniform_exact(2), Distribution((BELOW, 1 - BELOW))),
+            (Distribution((0.5, 0.5)), Distribution((5e-324, 1.0))),
+        ],
+        ids=["exact-1e-400", "float-5e-324"],
+    )
+    def test_past_the_float_range(self, p, q):
+        """A quotient or log past the float range takes the exact retry: finite values."""
+        for a, b in ((p, q), (q, p)):
+            assert _close(shannon_cross_entropy(a, b), _oracle(a, b))
+            assert _close(kl_divergence(a, b), _oracle(a, b, divergence=True))
+        assert _close(shannon_entropy_dist(q), _oracle(q, q))
+        assert _close(dit_bit_transform("entropy", q), _oracle(q, q))
+        assert _close(dit_bit_transform("cross", p, q), _oracle(p, q))
+        symmetrized = (_oracle(p, q, True) + _oracle(q, p, True)) / 2
+        assert _close(symmetrized_kl_divergence(p, q), symmetrized)
+        assert _close(dit_bit_transform("divergence", p, q), symmetrized)
+
+
+def test_ordinary_inputs_never_take_the_exact_retry(monkeypatch):
+    """The exact retry is for the float range only: with it broken, every sum on
+    inputs of full support still returns, for float, exact, all-int and unweighted
+    inputs alike."""
+
+    def refuse(base):
+        raise AssertionError("an ordinary input took the exact retry")
+
+    monkeypatch.setattr(shannon, "_range_log", refuse)
+    p = make_partition([{0, 1}, {2, 3}, {4}], 5)
+    s = make_partition([{0, 2, 4}, {1, 3}], 5)
+    all_weights = [
+        Distribution.uniform_exact(5),
+        Distribution(tuple(map(Fraction, ("1/3", "1/6", "1/4", "0", "1/4")))),
+        Distribution.point_mass(5, 2),
+        Distribution((0.1, 0.2, 0.3, 0.15, 0.25)),
+        None,
+    ]
+    r = random.Random(7)
+    raw = [[r.random() for _ in range(4)] for _ in range(3)]
+    total = math.fsum(map(math.fsum, raw))
+    joints = [EXACT_JOINT, ZERO_CELL_JOINT, JointDistribution(((1, 0), (0, 0)))]
+    joints.append(JointDistribution(tuple(tuple(x / total for x in row) for row in raw)))
+    exact = Distribution((Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)))
+    pairs = [(HALF_QUARTERS, FIFTHS), (Distribution((1,)), Distribution((1,)))]
+    pairs.append((Distribution.uniform_exact(3), exact))
+    for base in (2.0, math.e, 10.0):
+        for weights in all_weights:
+            for a, b in ((p, s), (s, p)):
+                assert shannon_entropy_partition(a, weights, base) >= 0
+                assert shannon_conditional_partition(a, b, weights, base) >= -1e-12
+                assert shannon_mutual_partition(a, b, weights, base) >= -1e-12
+        for joint in joints:
+            for given in ("x", "y"):
+                assert shannon_conditional_joint(joint, given, base) >= -1e-12
+                assert dit_bit_transform("conditional", joint, given, base=base) >= -1e-12
+            assert shannon_mutual_joint(joint, base) >= -1e-12
+            assert dit_bit_transform("mutual", joint, base=base) >= -1e-12
+        for a, b in pairs:
+            for x, y in ((a, b), (b, a)):
+                assert shannon_entropy_dist(x, base) >= 0
+                assert dit_bit_transform("entropy", x, base=base) >= 0
+                assert shannon_cross_entropy(x, y, base) < math.inf
+                assert kl_divergence(x, y, base) < math.inf
+                assert dit_bit_transform("cross", x, y, base=base) < math.inf
+                assert dit_bit_transform("divergence", x, y, base=base) < math.inf
 
 
 class TestDitBitConversion:
