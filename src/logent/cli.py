@@ -19,6 +19,7 @@ from fractions import Fraction
 from . import formats
 from .errors import LimitExceededError, LogentError, ParseError
 from .logical import (
+    IDENTITY_TOLERANCE,
     Distribution,
     joint_logical_entropy,
     logical_conditional_joint,
@@ -154,15 +155,15 @@ def _cmd_entropy(args) -> CommandResult:
     if kind == "auto":
         kind = "partition" if "|" in text else "dist"
     if kind == "partition":
-        partition = formats.parse_partition(text, n=args.n)
+        partition = formats.parse_partition(text)
         weights = _parse_weights(args)
         h = logical_entropy_partition(partition, weights)
         capital_h = shannon_entropy_partition(partition, weights, base)
         dits = _dit_count(partition)
         inputs = {"partition": formats.format_partition(partition), "weights": args.weights}
     else:
-        if args.weights is not None or args.n is not None:
-            raise ParseError("--weights and --n apply only to partition inputs")
+        if args.weights is not None:
+            raise ParseError("--weights applies only to partition inputs")
         dist = formats.parse_distribution(text, exact=args.exact)
         h = logical_entropy_dist(dist)
         capital_h = shannon_entropy_dist(dist, base)
@@ -241,8 +242,8 @@ def _cmd_joint(args) -> CommandResult:
 
 
 def _cmd_ops(args) -> CommandResult:
-    first = formats.parse_partition(_read_text(args.first), n=args.n)
-    second = formats.parse_partition(_read_text(args.second), n=args.n)
+    first = formats.parse_partition(_read_text(args.first))
+    second = formats.parse_partition(_read_text(args.second))
     if args.operation == "join":
         result = join(first, second)
     elif args.operation == "meet":
@@ -283,10 +284,10 @@ def _cmd_compare(args) -> CommandResult:
         "h_mixture": (report.h_mix, PROBABILITY),
         "mean_h": (report.mean_h, PROBABILITY),
         "chain_cross_ge_mixture": (
-            bool(float(report.cross) >= float(report.h_mix) - 1e-12), "boolean"
+            bool(float(report.cross) >= float(report.h_mix) - IDENTITY_TOLERANCE), "boolean"
         ),
         "chain_mixture_ge_mean": (
-            bool(float(report.h_mix) >= float(report.mean_h) - 1e-12), "boolean"
+            bool(float(report.h_mix) >= float(report.mean_h) - IDENTITY_TOLERANCE), "boolean"
         ),
     }
     residuals = {
@@ -405,7 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="partition like 0,1|2 or distribution like 1/2,1/3,1/6")
     p.add_argument("--kind", choices=["auto", "partition", "dist"], default="auto")
     p.add_argument("--weights", help="element weights for partition inputs")
-    p.add_argument("--n", type=int, default=None, help="explicit universe size")
     p.set_defaults(handler=_cmd_entropy)
 
     p = sub.add_parser(
@@ -421,7 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
         "second",
         help="partition text; for implies, blocks of the first contained in a block of the second become singletons",
     )
-    p.add_argument("--n", type=int, default=None, help="explicit universe size")
     p.set_defaults(handler=_cmd_ops)
 
     p = sub.add_parser(

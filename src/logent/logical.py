@@ -304,34 +304,25 @@ def identification_probability(p: Distribution):
     return _accumulate(q * q for q in p.probs)
 
 
-def _masses(labels: Iterable, n: int, weights: Distribution) -> tuple:
-    """Weighted masses of the classes of a labelling of 0..n-1, their total T, and whether exact.
+def _block_masses(partition: Partition, weights: Distribution | None) -> tuple:
+    """A partition's block masses in label order, their total T, and whether exact.
 
-    Masses come as label -> mass in order of first appearance (block order
-    for a partition): left-to-right sums, the rule of a distribution's total
-    and a joint's marginals, of the integer numerators with T = D, their
-    common denominator, under exact weights, and of the weights with T = 1
-    under float weights.
+    Unweighted, the block sizes the partition counted once and keeps, with
+    T = n.  Weighted, left-to-right sums over each block, the rule of a
+    distribution's total and a joint's marginals: of the integer numerators
+    with T = D, their common denominator, under exact weights, and of the
+    weights with T = 1 under float weights.
     """
+    n = partition.universe.size
+    if weights is None:
+        return partition._block_sizes, n, False
     if len(weights) != n:
         raise SizeMismatchError(f"weights of length {len(weights)} for a universe of size {n}")
     exact = weights.is_exact
     values, total = weights._integers if exact else (weights.probs, 1)
     masses: dict = {}
-    for label, value in zip(labels, values):
+    for label, value in zip(partition.labels, values):
         masses[label] = masses.get(label, 0) + value
-    return masses, total, exact
-
-
-def _block_masses(partition: Partition, weights: Distribution | None) -> tuple:
-    """A partition's block masses in label order, their total T, and whether exact.
-
-    Unweighted, the block sizes the partition counted once and keeps, with
-    T = n; weighted, the values of :func:`_masses` of its labels.
-    """
-    if weights is None:
-        return partition._block_sizes, partition.universe.size, False
-    masses, total, exact = _masses(partition.labels, partition.universe.size, weights)
     return tuple(masses.values()), total, exact
 
 

@@ -406,10 +406,7 @@ def indit_set(partition: Partition) -> PairRelation:
 
 def dit_set(partition: Partition) -> PairRelation:
     """Pairs distinguished by the partition: the complement of the indit set."""
-    n = partition.universe.size
-    _check_dense(n)
-    full = (1 << (n * n)) - 1
-    return PairRelation(partition.universe, full ^ indit_set(partition).bits)
+    return indit_set(partition).complement()
 
 
 # ----------------------------------------------------------------------
@@ -451,8 +448,7 @@ def interior(relation: PairRelation) -> PairRelation:
 
     Computed as the complement of the rst-closure of the complement.
     """
-    closed = rst_closure(relation.complement())
-    return PairRelation(relation.universe, closed.complement().bits)
+    return rst_closure(relation.complement()).complement()
 
 
 def partition_from_equivalence(relation: PairRelation) -> Partition:

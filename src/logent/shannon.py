@@ -8,7 +8,8 @@ rather than raised, since that is the correct limiting value.
 
 Every sum runs through :func:`_range_sum`, its one way past the float range:
 a sum whose term leaves that range, or whose value is infinite, runs once
-more on its masses as exact Fractions.
+more on its masses as exact Fractions; an exact input with an entry below
+that range runs there at once.
 
 The termwise substitution log(1/p) <-> (1 - p) turns each logical compound
 formula into its Shannon counterpart; :func:`dit_bit_transform` performs the
@@ -63,24 +64,36 @@ def _range_log(base: float):
     return range_log
 
 
-def _range_sum(total_of, base: float, *masses) -> float:
+def _range_sum(total_of, base: float, *masses, exact: bool = False) -> float:
     """``total_of(log, *masses)``: every Shannon sum, and its one way past the float range.
 
     The sum runs with :func:`_log_to` on the masses as they are.  If a term
     fails (its quotient or log leaves the float range) or the sum comes out
     infinite, the same sum runs once more on the masses as exact Fractions,
     with :func:`_range_log`: an exact quotient or product cannot leave the
-    float range, and ``_range_log`` takes a Fraction past it.  That costs
-    O(terms) Fraction work on those inputs only.  A sum against missing mass
-    is infinite either way.
+    float range, and ``_range_log`` takes a Fraction past it.  ``exact`` (see
+    :func:`_below_range`) sends the sum there at once.  That costs O(terms)
+    Fraction work on those inputs only.  A sum against missing mass is
+    infinite either way.
     """
-    try:
-        value = total_of(_log_to(base), *masses)
-    except (ValueError, OverflowError, ZeroDivisionError):
-        value = math.inf
-    if value < math.inf:
-        return value
+    if not exact:
+        try:
+            value = total_of(_log_to(base), *masses)
+        except (ValueError, OverflowError, ZeroDivisionError):
+            value = math.inf
+        if value < math.inf:
+            return value
     return total_of(_range_log(base), *map(_exact, masses))
+
+
+def _below_range(*dists: Distribution) -> bool:
+    """Whether an exact entry is positive but below the normal float range, 2**-1022,
+    where a float keeps only some of its digits.  Decided once per call from the
+    integer numerators over D: they are scanned only when D is past 2**1022."""
+    return any(
+        d >> 1022 and min(filter(None, nums)) << 1022 < d
+        for nums, d in filter(None, (p._integers for p in dists))
+    )
 
 
 def _exact(masses):
@@ -113,7 +126,7 @@ def _entropy_sum(log, masses, total) -> float:
 
 def shannon_entropy_dist(p: Distribution, base: float = 2.0) -> float:
     """H(p) = sum p_i * log(1/p_i), between 0 and log(n)."""
-    return _range_sum(_entropy_sum, base, *_over_total(p))
+    return _range_sum(_entropy_sum, base, *_over_total(p), exact=_below_range(p))
 
 
 def shannon_entropy_partition(
@@ -184,7 +197,8 @@ def _support_sum(p: Distribution, q: Distribution, term, base: float) -> float:
             total += term(log, a / p_total, b / q_total)
         return total
 
-    return _range_sum(total_of, base, *_over_total(p), *_over_total(q))
+    masses = (*_over_total(p), *_over_total(q))
+    return _range_sum(total_of, base, *masses, exact=_below_range(p, q))
 
 
 def shannon_cross_entropy(p: Distribution, q: Distribution, base: float = 2.0) -> float:
@@ -286,7 +300,8 @@ def dit_bit_transform(kind: str, *inputs, base: float = 2.0) -> float:
         ]
     else:
         raise DomainError(f"unknown transform selector {kind!r}")
-    value = _range_sum(_substituted_sum, base, terms)
+    exact = kind in ("entropy", "cross", "divergence") and _below_range(*inputs)
+    value = _range_sum(_substituted_sum, base, terms, exact=exact)
     if math.isinf(value) or math.isinf(direct):
         if value != direct:
             raise LogentError(f"transform of {kind!r} disagrees with the direct value")

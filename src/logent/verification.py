@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .logical import (
+    IDENTITY_TOLERANCE,
     Distribution,
     JointDistribution,
     _left_sum,
@@ -31,7 +32,6 @@ from .logical import (
 )
 from .partitions import (
     PairRelation,
-    Partition,
     Universe,
     _from_labels,
     bell_number,
@@ -64,45 +64,31 @@ from .shannon import (
     symmetrized_kl_divergence,
 )
 
-RESIDUAL_BOUND = 1e-12
 
-
-@dataclass(frozen=True)
+@dataclass
 class SuiteResult:
+    """Checks of one named identity: how many ran, how many failed, the worst residual."""
+
     name: str
-    checks: int
-    failures: int
-    worst_residual: float
-
-    @property
-    def passed(self) -> bool:
-        return self.failures == 0 and self.checks > 0
-
-
-class _Tally:
-    """Checks of one named identity; it joins ``suite``, whose order is the report order."""
-
-    def __init__(self, name: str, suite: list) -> None:
-        self.name = name
-        suite.append(self)
-        self.checks = 0
-        self.failures = 0
-        self.worst = 0.0
+    checks: int = 0
+    failures: int = 0
+    worst_residual: float = 0.0
 
     def exact(self, ok: bool) -> None:
         self.checks += 1
         if not ok:
             self.failures += 1
 
-    def residual(self, value: float, bound: float = RESIDUAL_BOUND) -> None:
+    def residual(self, value: float, bound: float = IDENTITY_TOLERANCE) -> None:
         value = abs(float(value))
         self.checks += 1
-        self.worst = max(self.worst, value)
+        self.worst_residual = max(self.worst_residual, value)
         if not value <= bound:
             self.failures += 1
 
-    def result(self) -> SuiteResult:
-        return SuiteResult(self.name, self.checks, self.failures, self.worst)
+    @property
+    def passed(self) -> bool:
+        return self.failures == 0 and self.checks > 0
 
 
 # ----------------------------------------------------------------------
@@ -142,17 +128,16 @@ def random_joint(
 
 def run_lattice_suites(max_n: int) -> list[SuiteResult]:
     """Exact set identities over every ordered partition pair for n <= max_n."""
-    suite: list[_Tally] = []
-    relation_laws = _Tally("dit_indit_partition_relation_laws", suite)
-    roundtrip = _Tally("equivalence_roundtrip", suite)
-    join_union = _Tally("join_dit_union", suite)
-    meet_interior = _Tally("meet_dit_interior_of_intersection", suite)
-    meet_closure = _Tally("meet_equals_closure_of_indit_union", suite)
-    impl_formula = _Tally("implication_discretize_equals_interior_formula", suite)
-    refine_equiv = _Tally("refines_iff_dit_subset_iff_implication_discrete", suite)
-    mut_structure = _Tally("mutual_dit_structure_theorem", suite)
-    mut_nonempty = _Tally("nonempty_dit_sets_intersect", suite)
-    contrapositive = _Tally("covering_indit_union_forces_indiscrete", suite)
+    relation_laws = SuiteResult("dit_indit_partition_relation_laws")
+    roundtrip = SuiteResult("equivalence_roundtrip")
+    join_union = SuiteResult("join_dit_union")
+    meet_interior = SuiteResult("meet_dit_interior_of_intersection")
+    meet_closure = SuiteResult("meet_equals_closure_of_indit_union")
+    impl_formula = SuiteResult("implication_discretize_equals_interior_formula")
+    refine_equiv = SuiteResult("refines_iff_dit_subset_iff_implication_discrete")
+    mut_structure = SuiteResult("mutual_dit_structure_theorem")
+    mut_nonempty = SuiteResult("nonempty_dit_sets_intersect")
+    contrapositive = SuiteResult("covering_indit_union_forces_indiscrete")
 
     for n in range(1, max_n + 1):
         parts = list(enumerate_partitions(n))
@@ -161,12 +146,8 @@ def run_lattice_suites(max_n: int) -> list[SuiteResult]:
         dits = [dit_set(p) for p in parts]
         indits = [indit_set(p) for p in parts]
         # Lattice results are looked up by their labels: a result that is not a
-        # canonical enumerated partition fails its check instead of matching.
-        index = {p.labels: k for k, p in enumerate(parts)}
-
-        def dit_bits(partition: Partition) -> int | None:
-            k = index.get(partition.labels)
-            return None if k is None else dits[k].bits
+        # canonical enumerated partition reads None and fails its check.
+        dit_bits = {p.labels: d.bits for p, d in zip(parts, dits)}.get
 
         for p, d, e in zip(parts, dits, indits):
             relation_laws.exact(
@@ -181,18 +162,18 @@ def run_lattice_suites(max_n: int) -> list[SuiteResult]:
 
         for i, p in enumerate(parts):
             for j, s in enumerate(parts):
-                join_union.exact(dit_bits(join(p, s)) == (dits[i].bits | dits[j].bits))
+                join_union.exact(dit_bits(join(p, s).labels) == (dits[i].bits | dits[j].bits))
 
                 mut = dits[i] & dits[j]
                 met = meet(p, s)
-                meet_interior.exact(dit_bits(met) == interior(mut).bits)
+                meet_interior.exact(dit_bits(met.labels) == interior(mut).bits)
                 meet_closure.exact(
                     met == partition_from_equivalence(rst_closure(indits[i] | indits[j]))
                 )
 
                 arrow = implication(s, p)
                 formula_bits = interior(dits[j].complement() | dits[i]).bits
-                impl_formula.exact(dit_bits(arrow) == formula_bits)
+                impl_formula.exact(dit_bits(arrow.labels) == formula_bits)
                 refine_equiv.exact(
                     refines(s, p) == dits[j].issubset(dits[i]) == (arrow == discrete)
                 )
@@ -203,14 +184,16 @@ def run_lattice_suites(max_n: int) -> list[SuiteResult]:
                 if (indits[i].bits | indits[j].bits) == full.bits:
                     contrapositive.exact(p.is_indiscrete or s.is_indiscrete)
 
-    return [t.result() for t in suite]
+    return [
+        relation_laws, roundtrip, join_union, meet_interior, meet_closure,
+        impl_formula, refine_equiv, mut_structure, mut_nonempty, contrapositive,
+    ]
 
 
 def run_closure_operator_suite(max_n: int = 4, seed: int = 2024) -> list[SuiteResult]:
     """Closure/interior operator laws on random and dit-derived relations."""
-    suite: list[_Tally] = []
-    closure_laws = _Tally("rst_closure_idempotent_extensive_monotone", suite)
-    interior_laws = _Tally("interior_idempotent_intensive_monotone", suite)
+    closure_laws = SuiteResult("rst_closure_idempotent_extensive_monotone")
+    interior_laws = SuiteResult("interior_idempotent_intensive_monotone")
     gen = SplitMix64(seed)
     for n in range(1, max_n + 1):
         universe = Universe(n)
@@ -240,17 +223,16 @@ def run_closure_operator_suite(max_n: int = 4, seed: int = 2024) -> list[SuiteRe
             bigger = rel | PairRelation(universe, gen.next_uint64() & mask)
             closure_laws.exact(closed.issubset(rst_closure(bigger)))
             interior_laws.exact(opened.issubset(interior(bigger)))
-    return [t.result() for t in suite]
+    return [closure_laws, interior_laws]
 
 
 def run_measure_suites(max_n: int) -> list[SuiteResult]:
     """Exact rational measure identities, uniform weights, all pairs, n <= max_n."""
-    suite: list[_Tally] = []
-    entropy_forms = _Tally("partition_entropy_block_form", suite)
-    inclusion_exclusion = _Tally("mutual_equals_inclusion_exclusion", suite)
-    conditional = _Tally("conditional_equals_join_minus_given", suite)
-    submodular = _Tally("meet_measure_submodular", suite)
-    identification = _Tally("identification_vs_mutual_identity", suite)
+    entropy_forms = SuiteResult("partition_entropy_block_form")
+    inclusion_exclusion = SuiteResult("mutual_equals_inclusion_exclusion")
+    conditional = SuiteResult("conditional_equals_join_minus_given")
+    submodular = SuiteResult("meet_measure_submodular")
+    identification = SuiteResult("identification_vs_mutual_identity")
 
     for n in range(2, max_n + 1):
         weights = Distribution.uniform_exact(n)
@@ -282,7 +264,7 @@ def run_measure_suites(max_n: int) -> list[SuiteResult]:
                     (1 - h_join) - (1 - h_p) * (1 - h_s) == m - h_p * h_s
                 )
 
-    return [t.result() for t in suite]
+    return [entropy_forms, inclusion_exclusion, conditional, submodular, identification]
 
 
 # ----------------------------------------------------------------------
@@ -298,11 +280,10 @@ def run_independence_suite() -> list[SuiteResult]:
     hold exactly on the rational path and the Shannon mutual information must
     vanish.
     """
-    suite: list[_Tally] = []
-    multiplicative = _Tally("independent_mutual_is_product", suite)
-    identification = _Tally("independent_identification_multiplies", suite)
-    shannon_zero = _Tally("independent_shannon_mutual_zero", suite)
-    shannon_additive = _Tally("independent_shannon_join_additive", suite)
+    multiplicative = SuiteResult("independent_mutual_is_product")
+    identification = SuiteResult("independent_identification_multiplies")
+    shannon_zero = SuiteResult("independent_shannon_mutual_zero")
+    shannon_additive = SuiteResult("independent_shannon_join_additive")
 
     for nx in (2, 3, 4):
         for ny in (2, 3, 4):
@@ -329,7 +310,7 @@ def run_independence_suite() -> list[SuiteResult]:
                         shannon_entropy_partition(joined) - capital_h_p - capital_h_s
                     )
 
-    return [t.result() for t in suite]
+    return [multiplicative, identification, shannon_zero, shannon_additive]
 
 
 # ----------------------------------------------------------------------
@@ -339,11 +320,10 @@ def run_independence_suite() -> list[SuiteResult]:
 
 def run_divergence_suite(seed: int = 2024) -> list[SuiteResult]:
     """Divergence positivity, the Jensen difference, and the mixing chain."""
-    suite: list[_Tally] = []
-    nonneg = _Tally("divergences_nonnegative_zero_iff_equal", suite)
-    jensen = _Tally("logical_divergence_jensen_difference", suite)
-    mixing = _Tally("mixing_identity_and_chain", suite)
-    cross_sym = _Tally("logical_cross_entropy_symmetric", suite)
+    nonneg = SuiteResult("divergences_nonnegative_zero_iff_equal")
+    jensen = SuiteResult("logical_divergence_jensen_difference")
+    mixing = SuiteResult("mixing_identity_and_chain")
+    cross_sym = SuiteResult("logical_cross_entropy_symmetric")
 
     gen = SplitMix64(seed)
     for k in range(10_000):
@@ -361,11 +341,11 @@ def run_divergence_suite(seed: int = 2024) -> list[SuiteResult]:
         cross_sym.residual(report.cross - logical_cross_entropy(q, p))
         mixing.residual(report.h_mix - report.cross / 2 - report.mean_h / 2)
         mixing.exact(
-            report.cross >= report.h_mix - RESIDUAL_BOUND
-            and report.h_mix >= report.mean_h - RESIDUAL_BOUND
+            report.cross >= report.h_mix - IDENTITY_TOLERANCE
+            and report.h_mix >= report.mean_h - IDENTITY_TOLERANCE
         )
 
-    return [t.result() for t in suite]
+    return [nonneg, jensen, mixing, cross_sym]
 
 
 def _brute_force(joint: JointDistribution, same_y: bool) -> float:
@@ -381,12 +361,11 @@ def _brute_force(joint: JointDistribution, same_y: bool) -> float:
 
 def run_joint_suites(seed: int = 2024) -> list[SuiteResult]:
     """Venn identities on random joint distributions, logical and Shannon."""
-    suite: list[_Tally] = []
-    venn_logical = _Tally("joint_logical_venn_identities", suite)
-    venn_shannon = _Tally("joint_shannon_venn_identities", suite)
-    kl_form = _Tally("shannon_mutual_equals_kl_to_product", suite)
-    pair_space = _Tally("conditional_and_mutual_as_pair_space_measures", suite)
-    product_case = _Tally("product_joint_independence_laws", suite)
+    venn_logical = SuiteResult("joint_logical_venn_identities")
+    venn_shannon = SuiteResult("joint_shannon_venn_identities")
+    kl_form = SuiteResult("shannon_mutual_equals_kl_to_product")
+    pair_space = SuiteResult("conditional_and_mutual_as_pair_space_measures")
+    product_case = SuiteResult("product_joint_independence_laws")
 
     gen = SplitMix64(seed)
     for k in range(400):
@@ -416,7 +395,7 @@ def run_joint_suites(seed: int = 2024) -> list[SuiteResult]:
             shannon_conditional_joint(joint, "x") - (capital_hxy - capital_hx)
         )
         venn_shannon.residual(mutual - (capital_hx + capital_hy - capital_hxy))
-        venn_shannon.exact(mutual >= -RESIDUAL_BOUND)
+        venn_shannon.exact(mutual >= -IDENTITY_TOLERANCE)
         kl_form.residual(mutual - kl_divergence(flat, joint.product_of_marginals().flatten()))
 
         if k < 100:
@@ -433,15 +412,14 @@ def run_joint_suites(seed: int = 2024) -> list[SuiteResult]:
         )
         product_case.residual(product.independence_residual(), bound=1e-15)
 
-    return [t.result() for t in suite]
+    return [venn_logical, venn_shannon, kl_form, pair_space, product_case]
 
 
 def run_dit_bit_suite(seed: int = 2024) -> list[SuiteResult]:
     """Round trips of the conversion formulas and the compound transforms."""
-    suite: list[_Tally] = []
-    roundtrip = _Tally("dit_bit_roundtrip", suite)
-    equiprobable = _Tally("equiprobable_set_conversions", suite)
-    transforms = _Tally("compound_transforms_match_direct", suite)
+    roundtrip = SuiteResult("dit_bit_roundtrip")
+    equiprobable = SuiteResult("equiprobable_set_conversions")
+    transforms = SuiteResult("compound_transforms_match_direct")
 
     for i in range(1000):
         h0 = 0.999 * i / 999
@@ -472,7 +450,7 @@ def run_dit_bit_suite(seed: int = 2024) -> list[SuiteResult]:
         )
         transforms.residual(dit_bit_transform("mutual", joint) - shannon_mutual_joint(joint))
 
-    return [t.result() for t in suite]
+    return [roundtrip, equiprobable, transforms]
 
 
 def _ln_factorial_sum(m: int) -> float:
@@ -482,10 +460,9 @@ def _ln_factorial_sum(m: int) -> float:
 
 def run_stirling_suite() -> list[SuiteResult]:
     """Three-term Stirling beats two-term, and both errors shrink with N."""
-    suite: list[_Tally] = []
-    anchor = _Tally("stirling_exact_matches_log_factorials", suite)
-    sharper = _Tally("three_term_beats_two_term", suite)
-    decay = _Tally("errors_decrease_with_scale", suite)
+    anchor = SuiteResult("stirling_exact_matches_log_factorials")
+    sharper = SuiteResult("three_term_beats_two_term")
+    decay = SuiteResult("errors_decrease_with_scale")
 
     report = stirling_entropy([6, 6])
     anchor.residual(report.s_exact - (_ln_factorial_sum(12) - 2 * _ln_factorial_sum(6)) / 12)
@@ -499,7 +476,7 @@ def run_stirling_suite() -> list[SuiteResult]:
     decay.exact(errors2[0] > errors2[1] > errors2[2])
     decay.exact(errors3[0] > errors3[1] > errors3[2])
 
-    return [t.result() for t in suite]
+    return [anchor, sharper, decay]
 
 
 def run_all(max_n: int = 5, seed: int = 2024) -> list[SuiteResult]:

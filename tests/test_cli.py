@@ -65,9 +65,14 @@ class TestEntropyCommand:
         assert "partition" in err
 
     def test_universe_size_on_distribution_rejected(self, capsys):
-        code, _, err = run(capsys, "entropy", "1/2,1/2", "--n", "5")
+        """The size is the largest index + 1, so ``--n`` is no option, on any input."""
+        for text in ("1/2,1/2", "0,1|2"):
+            code, _, err = run(capsys, "entropy", text, "--n", "5")
+            assert code == 1
+            assert "unrecognized arguments: --n 5" in err
+        code, _, err = run(capsys, "ops", "join", "0|1", "0,1", "--n", "2")
         assert code == 1
-        assert "partition" in err
+        assert "unrecognized arguments: --n 2" in err
 
     def test_base_e(self, capsys):
         code, out, _ = run(capsys, "entropy", "0|1", "--base", "e")
@@ -80,8 +85,9 @@ class TestEntropyCommand:
         assert "error" in err
 
     def test_kind_override(self, capsys):
-        code, out, _ = run(capsys, "entropy", "0,1", "--kind", "partition", "--n", "2")
+        code, out, _ = run(capsys, "entropy", "0,1", "--kind", "partition")
         assert out["outputs"]["h"] == 0.0
+        assert out["inputs"]["partition"] == "0,1"
 
 
 class TestJointCommand:

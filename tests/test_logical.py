@@ -798,8 +798,14 @@ class TestJointIsItsAxisPartitions:
     @pytest.mark.parametrize("kind", ["float", "exact"])
     def test_six_pair_measures_build_one_table(self, kind, monkeypatch):
         calls = []
-        masses = logical._masses
-        monkeypatch.setattr(logical, "_masses", lambda *a: calls.append(1) or masses(*a))
+        masses = logical._block_masses
+
+        def count_weighted(partition, weights):
+            if weights is not None:
+                calls.append(1)
+            return masses(partition, weights)
+
+        monkeypatch.setattr(logical, "_block_masses", count_weighted)
         monkeypatch.setattr(logical, "_last_table", (None, None, None, None))
         j = next(_seeded_joints(kind))
         for measure in (logical_conditional_joint, shannon_conditional_joint):

@@ -239,6 +239,7 @@ def test_exact_weights_past_the_float_range():
 
 TINY = Fraction(1, 10**315)  # its inverse is past the float range, itself subnormal
 BELOW = Fraction(1, 10**400)  # below the float range: float(BELOW) is 0.0
+SUBNORMAL = Fraction(1, 3 * 10**323)  # float(SUBNORMAL) is 5e-324, half again too large
 
 
 def _close(value, oracle):
@@ -351,12 +352,14 @@ class TestCrossAndKL:
         "p, q",
         [
             (Distribution.uniform_exact(2), Distribution((BELOW, 1 - BELOW))),
+            (Distribution.uniform_exact(2), Distribution((SUBNORMAL, 1 - SUBNORMAL))),
             (Distribution((0.5, 0.5)), Distribution((5e-324, 1.0))),
         ],
-        ids=["exact-1e-400", "float-5e-324"],
+        ids=["exact-1e-400", "exact-subnormal", "float-5e-324"],
     )
     def test_past_the_float_range(self, p, q):
-        """A quotient or log past the float range takes the exact retry: finite values."""
+        """A quotient or log past the float range, or an exact mass that a float reads
+        as a subnormal, takes the exact retry: finite values, to the oracle's digits."""
         for a, b in ((p, q), (q, p)):
             assert _close(shannon_cross_entropy(a, b), _oracle(a, b))
             assert _close(kl_divergence(a, b), _oracle(a, b, divergence=True))
