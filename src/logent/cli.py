@@ -13,8 +13,8 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import formats
 from .errors import LimitExceededError, LogentError, ParseError
@@ -55,14 +55,13 @@ from .shannon import (
 PROBABILITY = "dimensionless"
 
 
-@dataclass
-class CommandResult:
+class CommandResult(NamedTuple):
     command: str
     inputs: dict
     outputs: dict  # key -> (value, unit)
-    residuals: dict = field(default_factory=dict)
+    residuals: dict = {}  # read only, like every field: the default is shared
     exit_code: int = 0
-    extra_units: dict = field(default_factory=dict)  # units listed with no output beside them
+    extra_units: dict = {}  # units listed with no output beside them
 
 
 def _read_text(arg: str) -> str:
@@ -305,7 +304,8 @@ def _cmd_verify(args) -> CommandResult:
 
     suites = verification.run_all(max_n=args.max_n, seed=args.seed)
     failures = [s.name for s in suites if not s.passed]
-    report = [{**asdict(s), "passed": s.passed} for s in suites]
+    keys = ("name", "checks", "failures", "worst_residual", "passed")
+    report = [{key: getattr(s, key) for key in keys} for s in suites]
     outputs = {
         "suites": (report, "report"),
         "all_passed": (not failures, "boolean"),

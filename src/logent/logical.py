@@ -40,7 +40,6 @@ from __future__ import annotations
 import math
 import numbers
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import chain
@@ -58,6 +57,7 @@ from .partitions import (
     Partition,
     PairRelation,
     Universe,
+    _Value,
     _check_same_universe,
     _join_cells,
     _partition,
@@ -87,8 +87,7 @@ def _accumulate(terms: Iterable):
     return math.fsum(values)
 
 
-@dataclass(frozen=True)
-class Distribution:
+class Distribution(_Value):
     """A finite probability vector p = (p_1, .., p_n).
 
     Entries must be nonnegative and sum to 1 within 1e-9; a small drift is
@@ -98,24 +97,24 @@ class Distribution:
     integer numerators over a common denominator, computed on first use.
     """
 
-    probs: tuple
+    _fields = ("probs",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, probs: tuple) -> None:
         try:
-            probs = tuple(self.probs)
-            for p in probs:
+            values = tuple(probs)
+            for p in values:
                 if not p >= 0:  # also rejects NaN, which compares false with everything
                     raise InvalidDistributionError(f"probability {p} is not a nonnegative number")
-            total = _left_sum(probs)
+            total = _left_sum(values)
         except TypeError:  # not iterable, or an entry that does not compare or add like a number
-            raise InvalidDistributionError(f"{self.probs!r} is not a sequence of numbers") from None
-        if not probs:
+            raise InvalidDistributionError(f"{probs!r} is not a sequence of numbers") from None
+        if not values:
             raise InvalidDistributionError("a distribution needs at least one outcome")
         if abs(float(total) - 1.0) > NORMALIZATION_TOLERANCE:
             raise InvalidDistributionError(f"probabilities sum to {float(total)}, not 1")
         if total != 1:
-            probs = tuple(p / total for p in probs)
-        object.__setattr__(self, "probs", probs)
+            values = tuple(p / total for p in values)
+        vars(self).update(probs=values)
 
     def __len__(self) -> int:
         return len(self.probs)
@@ -165,8 +164,7 @@ class Distribution:
         return Distribution(tuple((p + q) * half for p, q in zip(self.probs, other.probs)))
 
 
-@dataclass(frozen=True)
-class JointDistribution:
+class JointDistribution(_Value):
     """A joint probability matrix p(x, y); rows are x values, columns y values.
 
     The cells are validated and normalized as one :class:`Distribution`, kept
@@ -174,22 +172,21 @@ class JointDistribution:
     cells, cached as ``_axes``; the marginals are cached views.
     """
 
-    rows: tuple
+    _fields = ("rows",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, rows: tuple) -> None:
         try:
-            rows = tuple(tuple(r) for r in self.rows)
+            grid = tuple(tuple(r) for r in rows)
         except TypeError:
-            raise InvalidDistributionError(f"{self.rows!r} is not a matrix of numbers") from None
-        if not rows or not rows[0]:
+            raise InvalidDistributionError(f"{rows!r} is not a matrix of numbers") from None
+        if not grid or not grid[0]:
             raise InvalidDistributionError("a joint distribution needs at least one cell")
-        width = len(rows[0])
-        if any(len(r) != width for r in rows):
+        width = len(grid[0])
+        if any(len(r) != width for r in grid):
             raise InvalidDistributionError("ragged joint matrix")
-        cells = Distribution(tuple(chain.from_iterable(rows)))
-        rows = tuple(cells.probs[i : i + width] for i in range(0, len(cells), width))
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "_cells", cells)
+        cells = Distribution(tuple(chain.from_iterable(grid)))
+        grid = tuple(cells.probs[i : i + width] for i in range(0, len(cells), width))
+        vars(self).update(rows=grid, _cells=cells)
 
     @property
     def nx(self) -> int:
@@ -240,26 +237,32 @@ class JointDistribution:
         return cls(tuple(tuple(a * b for b in py.probs) for a in px.probs))
 
 
-@dataclass(frozen=True)
-class DistanceMatrix:
+class DistanceMatrix(_Value):
     """A symmetric nonnegative distance grid with zero diagonal."""
 
-    entries: tuple
+    _fields = ("entries",)
 
-    def __post_init__(self) -> None:
-        entries = tuple(tuple(r) for r in self.entries)
-        n = len(entries)
-        if n == 0 or any(len(r) != n for r in entries):
-            raise InvalidDistanceMatrixError("distance matrix must be square and nonempty")
-        for i in range(n):
-            if entries[i][i] != 0:
-                raise InvalidDistanceMatrixError(f"nonzero diagonal entry at {i}")
-            for j in range(n):
-                if entries[i][j] < 0:
-                    raise InvalidDistanceMatrixError(f"negative distance at ({i}, {j})")
-                if entries[i][j] != entries[j][i]:
-                    raise InvalidDistanceMatrixError(f"asymmetric entries at ({i}, {j})")
-        object.__setattr__(self, "entries", entries)
+    def __init__(self, entries: tuple) -> None:
+        try:
+            grid = tuple(tuple(r) for r in entries)
+            n = len(grid)
+            if n == 0 or any(len(r) != n for r in grid):
+                raise InvalidDistanceMatrixError("distance matrix must be square and nonempty")
+            for i, row in enumerate(grid):
+                if row[i] != 0:
+                    raise InvalidDistanceMatrixError(f"nonzero diagonal entry at {i}")
+                for j, d in enumerate(row):
+                    if d < 0:
+                        raise InvalidDistanceMatrixError(f"negative distance at ({i}, {j})")
+                    if not d >= 0:  # NaN compares false with everything
+                        raise InvalidDistanceMatrixError(
+                            f"distance {d} at ({i}, {j}) is not a nonnegative number"
+                        )
+                    if j < i and d != grid[j][i]:  # row j passed the checks above
+                        raise InvalidDistanceMatrixError(f"asymmetric entries at ({j}, {i})")
+        except TypeError:  # not a grid, or an entry that does not compare like a number
+            raise InvalidDistanceMatrixError(f"{entries!r} is not a matrix of numbers") from None
+        vars(self).update(entries=grid)
 
     @property
     def size(self) -> int:
@@ -505,8 +508,7 @@ def quadratic_entropy(p: Distribution, distances: DistanceMatrix):
     )
 
 
-@dataclass(frozen=True)
-class MixingReport:
+class MixingReport(NamedTuple):
     """Entropy of the half-and-half mixture with its two comparison values."""
 
     h_mix: object

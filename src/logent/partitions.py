@@ -43,8 +43,8 @@ exactly once skips it.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -67,32 +67,60 @@ def _check_dense(n: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class Universe:
+class _Value:
+    """A frozen value: ``==``, ``hash`` and ``repr`` read only the fields named in ``_fields``,
+    which ``__init__`` writes once into the instance dict; a ``cached_property`` view kept
+    beside them there is not part of the value."""
+
+    def __init_subclass__(cls) -> None:
+        cls._values = staticmethod(attrgetter(*cls._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Universe(_Value):
     """The carrier set {0, .., size-1}."""
 
-    size: int
+    _fields = ("size",)
 
-    def __post_init__(self) -> None:
-        _check_positive("universe size", self.size)
+    def __init__(self, size: int) -> None:
+        _check_positive("universe size", size)
+        vars(self).update(size=size)
 
 
-@dataclass(frozen=True)
-class PairRelation:
+class PairRelation(_Value):
     """A subset of U x U held as a dense bitmask.
 
     The three defining properties of a partition relation (irreflexive,
     symmetric, anti-transitive) are checkable via the predicates below.
     """
 
-    universe: Universe
-    bits: int
+    _fields = ("universe", "bits")
 
-    def __post_init__(self) -> None:
-        n = self.universe.size
+    def __init__(self, universe: Universe, bits: int) -> None:
+        if not isinstance(universe, Universe) or not isinstance(bits, int):
+            raise DomainError(f"need a Universe and int bits, got {universe!r} and {bits!r}")
+        n = universe.size
         _check_dense(n)
-        if self.bits < 0 or self.bits >> (n * n):
+        if bits < 0 or bits >> (n * n):
             raise DomainError("relation bits fall outside the universe's pair grid")
+        vars(self).update(universe=universe, bits=bits)
 
     # ------------------------------------------------------------------
     # constructors
@@ -235,8 +263,7 @@ class PairRelation:
         return self.is_reflexive() and self.is_symmetric() and self.is_transitive()
 
 
-@dataclass(frozen=True, init=False)
-class Partition:
+class Partition(_Value):
     """A partition of {0, .., n-1}, held as its restricted-growth string.
 
     ``labels[u]`` is the index of u's block, blocks numbered by least element.
@@ -247,8 +274,7 @@ class Partition:
     producers build the labels directly and skip the check.
     """
 
-    universe: Universe
-    labels: tuple[int, ...]
+    _fields = ("universe", "labels")
 
     def __init__(self, universe: Universe, blocks: tuple[tuple[int, ...], ...]) -> None:
         if not isinstance(universe, Universe):
@@ -259,8 +285,7 @@ class Partition:
                 f"blocks {blocks!r} are not in canonical form"
                 " (tuples, each ascending, ordered by least element)"
             )
-        object.__setattr__(self, "universe", universe)
-        object.__setattr__(self, "labels", canonical.labels)
+        vars(self).update(universe=universe, labels=canonical.labels)
 
     @cached_property
     def blocks(self) -> tuple[tuple[int, ...], ...]:
@@ -291,8 +316,7 @@ class Partition:
 def _partition(universe: Universe, rgs: tuple[int, ...]) -> Partition:
     """The partition whose labels are ``rgs``, a restricted-growth string; not re-checked."""
     partition = object.__new__(Partition)
-    object.__setattr__(partition, "universe", universe)
-    object.__setattr__(partition, "labels", rgs)
+    vars(partition).update(universe=universe, labels=rgs)
     return partition
 
 

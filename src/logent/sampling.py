@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,8 +36,7 @@ from .shannon import shannon_entropy_dist
 _scratch = threading.local()
 
 
-@dataclass(frozen=True)
-class SampleReport:
+class SampleReport(NamedTuple):
     """One estimator run: the estimate, its scale, and what reproduces it."""
 
     estimate: float

@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import DomainError, LogentError, _check_positive
 from .logical import (
@@ -318,8 +318,7 @@ def dit_bit_transform(kind: str, *inputs, base: float = 2.0) -> float:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StirlingReport:
+class StirlingReport(NamedTuple):
     """Exact normalized log-multinomial next to its two Stirling approximations.
 
     ``s_exact`` is ln(N! / prod N_i!) / N from log-gamma log-factorials;

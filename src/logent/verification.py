@@ -10,7 +10,6 @@ The CLI ``verify`` command and the acceptance tests both drive these suites.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .logical import (
@@ -65,14 +64,14 @@ from .shannon import (
 )
 
 
-@dataclass
 class SuiteResult:
     """Checks of one named identity: how many ran, how many failed, the worst residual."""
 
-    name: str
-    checks: int = 0
-    failures: int = 0
-    worst_residual: float = 0.0
+    __slots__ = ("name", "checks", "failures", "worst_residual")
+
+    def __init__(self, name: str, checks=0, failures=0, worst_residual=0.0) -> None:
+        self.name, self.checks, self.failures = name, checks, failures
+        self.worst_residual = worst_residual
 
     def exact(self, ok: bool) -> None:
         self.checks += 1

@@ -1,9 +1,11 @@
 """Only the Monte Carlo estimators load numpy; everything exact is stdlib-only.
 
-Each case runs in a fresh interpreter, since this test process may already
-have imported numpy.
+The exact paths also leave out ``dataclasses`` and the ``inspect`` it pulls
+in, which cost more to import than the rest of the package.  Each case runs
+in a fresh interpreter, since this test process has imported all of them.
 """
 
+import functools
 import os
 import pathlib
 import subprocess
@@ -14,33 +16,48 @@ import pytest
 import logent
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+WATCHED = ("numpy", "dataclasses", "inspect")
 
 
-def numpy_loaded_after(code: str) -> bool:
-    script = f"import sys, contextlib, io\n{code}\nprint('numpy' in sys.modules)"
+@functools.cache
+def loaded_after(code: str) -> frozenset:
+    """The watched modules in ``sys.modules`` after ``code`` runs in a fresh interpreter."""
+    script = f"import sys, contextlib, io\n{code}\nprint(*set(sys.modules).intersection({WATCHED}))"
     env = dict(os.environ, PYTHONPATH=str(SRC))
     done = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
-    return done.stdout.splitlines()[-1] == "True"
+    return frozenset(done.stdout.splitlines()[-1].split())
+
+
+def numpy_loaded_after(code: str) -> bool:
+    return "numpy" in loaded_after(code)
 
 
 def quiet_main(argv: list[str]) -> str:
     return f"from logent import cli\nwith contextlib.redirect_stdout(io.StringIO()): cli.main({argv!r})"
 
 
-@pytest.mark.parametrize(
-    "code",
-    [
-        pytest.param("import logent", id="import-logent"),
-        pytest.param("import logent.cli", id="import-cli"),
-        pytest.param(quiet_main(["entropy", "0,1|2"]), id="entropy"),
-        pytest.param(quiet_main(["verify", "--max-n", "2"]), id="verify"),
-    ],
-)
+EXACT_PATHS = [
+    pytest.param("import logent", id="import-logent"),
+    pytest.param("import logent.cli", id="import-cli"),
+    pytest.param(quiet_main(["entropy", "0,1|2"]), id="entropy"),
+    pytest.param(quiet_main(["verify", "--max-n", "2"]), id="verify"),
+]
+
+
+@pytest.mark.parametrize("code", EXACT_PATHS)
 def test_exact_paths_do_not_load_numpy(code):
     assert not numpy_loaded_after(code)
+
+
+@pytest.mark.parametrize("module", ["dataclasses", "inspect"])
+@pytest.mark.parametrize("code", EXACT_PATHS)
+def test_exact_paths_do_not_load_dataclasses(code, module):
+    if module in loaded_after("pass"):
+        pytest.skip(f"a bare interpreter here already loads {module}")
+    assert module not in loaded_after(code)
 
 
 def test_sample_loads_numpy():

@@ -135,14 +135,24 @@ class TestJointDistribution:
         assert j.marginal_x == (0.5, 0.5)
         assert j.marginal_y == (0.75, 0.25)
 
-    def test_marginals_are_cached_views(self):
-        j = JointDistribution(
-            ((Fraction(1, 6), Fraction(1, 3)), (Fraction(1, 4), Fraction(1, 4)))
-        )
-        before = (hash(j), repr(j))
-        assert j.marginal_x is j.marginal_x and j.marginal_y is j.marginal_y
-        fresh = JointDistribution(j.rows)
-        assert j == fresh and (hash(j), repr(j)) == before == (hash(fresh), repr(fresh))
+    @pytest.mark.parametrize(
+        "kind, view",
+        [
+            (JointDistribution, "marginal_x"),
+            (JointDistribution, "marginal_y"),
+            (JointDistribution, "_axes"),
+            (Distribution, "_integers"),
+        ],
+        ids=["marginal_x", "marginal_y", "_axes", "_integers"],
+    )
+    def test_marginals_are_cached_views(self, kind, view):
+        rows = ((Fraction(1, 6), Fraction(1, 3)), (Fraction(1, 4), Fraction(1, 4)))
+        value = kind(rows if kind is JointDistribution else rows[0] + rows[1])
+        before = (hash(value), repr(value))
+        assert getattr(value, view) is getattr(value, view) and view in vars(value)
+        fresh = kind(value.rows if kind is JointDistribution else value.probs)
+        assert value == fresh
+        assert (hash(value), repr(value)) == before == (hash(fresh), repr(fresh))
 
     def test_ragged_rejected(self):
         with pytest.raises(InvalidDistributionError, match="ragged"):
@@ -251,10 +261,10 @@ class TestNoPairRelationInProduction:
 
     @pytest.fixture(autouse=True)
     def forbid_pair_relations(self, monkeypatch):
-        def refuse(self):
+        def refuse(self, *args, **kwargs):
             raise AssertionError("a production path built a PairRelation")
 
-        monkeypatch.setattr(PairRelation, "__post_init__", refuse)
+        monkeypatch.setattr(PairRelation, "__init__", refuse)
 
     @pytest.mark.parametrize("weighted", [False, True])
     def test_partition_functions(self, weighted):
@@ -931,6 +941,23 @@ class TestQuadraticEntropy:
             DistanceMatrix(((0, 1), (2, 0)))
         with pytest.raises(InvalidDistanceMatrixError, match="negative"):
             DistanceMatrix(((0, -1), (-1, 0)))
+
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            (((0, "a"), ("a", 0)), "not a matrix of numbers"),
+            (5, "not a matrix of numbers"),
+            ((5, 6), "not a matrix of numbers"),
+            (((0, None), (None, 0)), "not a matrix of numbers"),
+            (((0, math.nan), (math.nan, 0)), "nan at \\(0, 1\\) is not a nonnegative number"),
+            (((0, 1), (math.nan, 0)), "nan at \\(1, 0\\) is not a nonnegative number"),
+            (((0, 1, 2), (1, 0, 3), (2, 4, 0)), "asymmetric entries at \\(1, 2\\)"),
+        ],
+        ids=["str-entry", "int", "int-rows", "none-entry", "nan-pair", "nan-below", "asymmetric"],
+    )
+    def test_refusals_are_distance_matrix_errors(self, entries, message):
+        with pytest.raises(InvalidDistanceMatrixError, match=message):
+            DistanceMatrix(entries)
 
     def test_dimension_mismatch(self):
         with pytest.raises(SizeMismatchError):

@@ -191,11 +191,23 @@ class TestBlockLabels:
         labels[0], labels[4] = 7, 7
         assert self.P.labels == (0, 1, 2, 0, 2)
 
-    def test_cached_labels_leave_value_alone(self):
+    @pytest.mark.parametrize(
+        "view, value",
+        [
+            ("blocks", ((0, 3), (1,), (2, 4))),
+            ("n_blocks", 3),
+            ("_block_sizes", (2, 1, 2)),
+            ("join", None),  # the kept join holds the pair outside both partitions
+        ],
+        ids=["blocks", "n_blocks", "_block_sizes", "join"],
+    )
+    def test_cached_labels_leave_value_alone(self, view, value):
         fresh = make_partition([{0, 3}, {1}, {2, 4}], 5)
         used = make_partition([{0, 3}, {1}, {2, 4}], 5)
-        assert used.blocks == ((0, 3), (1,), (2, 4)) and used.n_blocks == 3
-        join(used, used)
+        if view == "join":
+            assert join(used, used) == used
+        else:
+            assert getattr(used, view) == value and view in vars(used)
         assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
 
     @pytest.mark.parametrize("n", range(1, 8))
@@ -258,6 +270,15 @@ class TestPairRelationBasics:
     def test_out_of_range_pair(self):
         with pytest.raises(DomainError):
             PairRelation.from_pairs(2, [(0, 5)])
+
+    @pytest.mark.parametrize(
+        "universe, bits",
+        [(Universe(2), "3"), (Universe(2), 3.0), (Universe(2), None), (2, 3), (None, 0)],
+        ids=["str-bits", "float-bits", "none-bits", "int-universe", "none-universe"],
+    )
+    def test_constructor_refuses_what_is_not_a_relation(self, universe, bits):
+        with pytest.raises(DomainError):
+            PairRelation(universe, bits)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_transitivity_predicates_match_their_definitions(self, n):
