@@ -35,31 +35,22 @@ from .logical import (
     logical_mutual_joint,
     logical_mutual_partition,
     mixing_entropy,
-    product_measure,
     quadratic_entropy,
 )
 from .partitions import (
     DEFAULT_ENUMERATION_LIMIT,
-    PairRelation,
     Partition,
     Universe,
     bell_number,
     discrete_partition,
-    dit_set,
     enumerate_partitions,
     implication,
     indiscrete_partition,
-    indit_set,
-    interior,
     join,
     lattice_cover_edges,
     make_partition,
     meet,
-    mutual_dit_set,
-    mutual_dit_set_blockform,
-    partition_from_equivalence,
     refines,
-    rst_closure,
 )
 from .shannon import (
     StirlingReport,
@@ -82,26 +73,27 @@ from .shannon import (
 
 __version__ = "0.1.0"
 
-# The Monte Carlo estimators need numpy; they load on first use, so that
-# importing the package (and every exact computation) stays stdlib-only.
-_SAMPLING_NAMES = frozenset(
-    {
-        "SampleReport",
-        "average_difference_rate",
-        "pair_distinction_rate",
-        "typical_count_log",
-        "typical_message_stats",
-    }
+# These names load their module on first use: the Monte Carlo estimators need
+# numpy, and the dense specification serves the suites only, so importing the
+# package (and every exact computation) stays stdlib-only and builds no relation.
+_LAZY_NAMES = dict.fromkeys(
+    ("SampleReport", "average_difference_rate", "pair_distinction_rate", "typical_count_log",
+     "typical_message_stats"),
+    "sampling",
+) | dict.fromkeys(
+    ("PairRelation", "dit_set", "indit_set", "interior", "mutual_dit_set",
+     "mutual_dit_set_blockform", "partition_from_equivalence", "product_measure", "rst_closure"),
+    "spec",
 )
 
 
 def __getattr__(name: str):
-    if name in _SAMPLING_NAMES:
-        from . import sampling
+    if name in _LAZY_NAMES:
+        from importlib import import_module
 
-        return getattr(sampling, name)
+        return getattr(import_module(f"{__name__}.{_LAZY_NAMES[name]}"), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__() -> list[str]:
-    return sorted(set(globals()) | _SAMPLING_NAMES)
+    return sorted(set(globals()) | set(_LAZY_NAMES))

@@ -1,7 +1,7 @@
 """Text formats for partitions, distributions, and matrices.
 
 Partitions: blocks separated by ``|``, element indices comma-separated, e.g.
-``0,1|2|3,4``.  The universe size is inferred as max index + 1 unless given.
+``0,1|2|3,4``.  The universe size is inferred as max index + 1.
 Parsing and printing round-trip exactly.  Plain integer text is read in one
 C pass, as the JSON array of its blocks; any other token form (``01``,
 ``+1``, ``1_000``, Unicode digits) falls back to reading each block with
@@ -13,8 +13,8 @@ Printing is one ``repr`` of the block lists with its separators rewritten.
 
 Numbers: plain decimals or fractions like ``1/3``.  Fractions always parse
 exactly; with ``exact=True`` decimals are also read as exact rationals.
-Distributions are comma-separated numbers; joint and distance matrices are
-CSV with ``;`` accepted as a row separator for inline input.
+Distributions are comma-separated numbers; joint matrices are CSV with ``;``
+accepted as a row separator for inline input.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from fractions import Fraction
 from itertools import chain
 
 from .errors import ParseError
-from .logical import DistanceMatrix, Distribution, JointDistribution
+from .logical import Distribution, JointDistribution
 from .partitions import Partition, _from_block_lists
 
 _INT = frozenset((int,))  # tested with issuperset: a C loop, stops at the first other type
@@ -47,7 +47,7 @@ def _json_blocks(text: str, chunks: list[str]) -> list | None:
     return blocks if _INT.issuperset(map(type, chain.from_iterable(blocks))) else None
 
 
-def parse_partition(text: str, n: int | None = None) -> Partition:
+def parse_partition(text: str) -> Partition:
     chunks = text.strip().split("|")
     blocks = _json_blocks(text, chunks)
     if blocks is None:
@@ -64,8 +64,7 @@ def parse_partition(text: str, n: int | None = None) -> Partition:
     minima = list(map(min, blocks))
     if min(minima) < 0:
         raise ParseError("element indices must be nonnegative")
-    top = max(map(max, blocks))
-    return _from_block_lists(blocks, top + 1 if n is None else n, minima, top)
+    return _from_block_lists(blocks, minima)
 
 
 def format_partition(partition: Partition) -> str:
@@ -122,7 +121,3 @@ def _split_rows(text: str) -> list[str]:
 
 def parse_joint(text: str, exact: bool = False) -> JointDistribution:
     return JointDistribution(tuple(tuple(parse_numbers(r, exact)) for r in _split_rows(text)))
-
-
-def parse_distance_matrix(text: str, exact: bool = False) -> DistanceMatrix:
-    return DistanceMatrix(tuple(tuple(parse_numbers(r, exact)) for r in _split_rows(text)))

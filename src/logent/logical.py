@@ -10,7 +10,7 @@ That measure is fixed by block masses, so production never builds the pair
 space: a partition pair becomes one table of block-intersection masses, and
 one formula per quantity is evaluated over it.  A joint distribution is the
 pair of its row and column partitions of the cells, under the cell weights.
-:func:`product_measure` on a dit set is the specification it is checked against.
+The product measure of a dense dit set, in :mod:`logent.spec`, is the specification.
 The cells are the blocks of the two partitions' join, read from the one
 kept pairing of their labels (:func:`logent.partitions._join_cells`), so a
 report's join, meet and table pair the labels once; a cell's mass is its
@@ -55,7 +55,6 @@ from .errors import (
 )
 from .partitions import (
     Partition,
-    PairRelation,
     Universe,
     _Value,
     _check_same_universe,
@@ -238,7 +237,7 @@ class JointDistribution(_Value):
 
 
 class DistanceMatrix(_Value):
-    """A symmetric nonnegative distance grid with zero diagonal."""
+    """A symmetric grid of finite nonnegative distances with zero diagonal."""
 
     _fields = ("entries",)
 
@@ -258,6 +257,8 @@ class DistanceMatrix(_Value):
                         raise InvalidDistanceMatrixError(
                             f"distance {d} at ({i}, {j}) is not a nonnegative number"
                         )
+                    if d == math.inf:
+                        raise InvalidDistanceMatrixError(f"infinite distance at ({i}, {j})")
                     if j < i and d != grid[j][i]:  # row j passed the checks above
                         raise InvalidDistanceMatrixError(f"asymmetric entries at ({j}, {i})")
         except TypeError:  # not a grid, or an entry that does not compare like a number
@@ -282,19 +283,6 @@ def _check_same_length(p: Distribution, q: Distribution) -> None:
 # ----------------------------------------------------------------------
 # core measures
 # ----------------------------------------------------------------------
-
-
-def product_measure(relation: PairRelation, p: Distribution):
-    """mu(S) = sum of p_i * p_j over the member pairs (i, j) of S."""
-    if len(p) != relation.universe.size:
-        raise SizeMismatchError(
-            f"distribution of length {len(p)} for a universe of size {relation.universe.size}"
-        )
-    if p.is_exact:
-        nums, denominator = p._integers
-        return Fraction(sum(nums[i] * nums[j] for i, j in relation.pairs()), denominator**2)
-    probs = p.probs
-    return _accumulate(probs[i] * probs[j] for i, j in relation.pairs())
 
 
 def logical_entropy_dist(p: Distribution):

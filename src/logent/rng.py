@@ -161,13 +161,3 @@ def _draw_chunks(seed: int, start: int, count: int, cumulative: list[float], tab
             x = words[inside]
             values[inside] = table[np.searchsorted(steps, x ^ (x >> np.uint64(31)), side="right")]
         yield lo, values
-
-
-def batch_indices(seed: int, start: int, count: int, cumulative: list[float]) -> np.ndarray:
-    """Vectorized inverse-CDF draws, identical to SplitMix64.draw_index."""
-    import numpy as np
-
-    out = np.empty(count, dtype=np.intp)
-    for lo, drawn in _draw_chunks(seed, start, count, cumulative, np.arange(len(cumulative) + 1)):
-        out[lo : lo + drawn.size] = drawn
-    return out

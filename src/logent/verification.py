@@ -27,25 +27,8 @@ from .logical import (
     logical_mutual_joint,
     logical_mutual_partition,
     mixing_entropy,
-    product_measure,
 )
-from .partitions import (
-    PairRelation,
-    Universe,
-    _from_labels,
-    bell_number,
-    dit_set,
-    enumerate_partitions,
-    implication,
-    indit_set,
-    interior,
-    join,
-    meet,
-    mutual_dit_set_blockform,
-    partition_from_equivalence,
-    refines,
-    rst_closure,
-)
+from .partitions import Universe, _from_labels, enumerate_partitions, implication, join, meet, refines
 from .rng import SplitMix64
 from .shannon import (
     bit_to_dit,
@@ -61,6 +44,16 @@ from .shannon import (
     shannon_mutual_partition,
     stirling_entropy,
     symmetrized_kl_divergence,
+)
+from .spec import (
+    PairRelation,
+    dit_set,
+    indit_set,
+    interior,
+    mutual_dit_set_blockform,
+    partition_from_equivalence,
+    product_measure,
+    rst_closure,
 )
 
 
@@ -489,8 +482,3 @@ def run_all(max_n: int = 5, seed: int = 2024) -> list[SuiteResult]:
     results.extend(run_dit_bit_suite(seed))
     results.extend(run_stirling_suite())
     return results
-
-
-def expected_pair_count(max_n: int) -> int:
-    """Ordered partition pairs swept by the exhaustive suites."""
-    return sum(bell_number(n) ** 2 for n in range(1, max_n + 1))

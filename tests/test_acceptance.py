@@ -12,10 +12,10 @@ from fractions import Fraction
 import pytest
 
 from logent.logical import Distribution, logical_entropy_dist
+from logent.partitions import bell_number
 from logent.sampling import pair_distinction_rate, typical_message_stats
 from logent.shannon import shannon_entropy_dist, shannon_hartley, stirling_entropy
 from logent.verification import (
-    expected_pair_count,
     run_dit_bit_suite,
     run_divergence_suite,
     run_independence_suite,
@@ -46,7 +46,7 @@ def test_criterion_1_exhaustive_lattice_identities():
     start = time.monotonic()
     suites = run_lattice_suites(max_n=5)
     elapsed = time.monotonic() - start
-    pairs = expected_pair_count(5)
+    pairs = sum(bell_number(n) ** 2 for n in range(1, 6))  # ordered partition pairs swept
     assert pairs == 1 + 4 + 25 + 225 + 2704
     _require_all(
         suites,

@@ -1,7 +1,8 @@
 """Only the Monte Carlo estimators load numpy; everything exact is stdlib-only.
 
 The exact paths also leave out ``dataclasses`` and the ``inspect`` it pulls
-in, which cost more to import than the rest of the package.  Each case runs
+in, which cost more to import than the rest of the package, and only
+``verify`` loads the dense specification, ``logent.spec``.  Each case runs
 in a fresh interpreter, since this test process has imported all of them.
 """
 
@@ -16,7 +17,7 @@ import pytest
 import logent
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
-WATCHED = ("numpy", "dataclasses", "inspect")
+WATCHED = ("numpy", "dataclasses", "inspect", "logent.spec")
 
 
 @functools.cache
@@ -60,14 +61,36 @@ def test_exact_paths_do_not_load_dataclasses(code, module):
     assert module not in loaded_after(code)
 
 
+@pytest.mark.parametrize(
+    "code",
+    [
+        *EXACT_PATHS[:3],
+        pytest.param(quiet_main(["ops", "meet", "0,1|2", "0|1,2"]), id="ops-meet"),
+        pytest.param(quiet_main(["joint", "0.1,0.2;0.3,0.4"]), id="joint"),
+        pytest.param(quiet_main(["compare", "1/2,1/2", "1/4,3/4"]), id="compare"),
+    ],
+)
+def test_production_does_not_load_the_specification(code):
+    assert "logent.spec" not in loaded_after(code)
+
+
+def test_verify_loads_the_specification():
+    assert "logent.spec" in loaded_after(quiet_main(["verify", "--max-n", "2"]))
+
+
 def test_sample_loads_numpy():
     assert numpy_loaded_after(quiet_main(["sample", "pairs", "1/2,1/2", "--trials", "10"]))
 
 
 def test_sampling_names_resolve_through_the_package():
     import logent.sampling
+    import logent.spec
 
     assert logent.pair_distinction_rate is logent.sampling.pair_distinction_rate
     assert "typical_message_stats" in dir(logent)
+    for name in ("dit_set", "PairRelation", "product_measure"):
+        assert getattr(logent, name) is getattr(logent.spec, name)
+    for name in dir(logent):
+        getattr(logent, name)
     with pytest.raises(AttributeError):
         logent.no_such_name

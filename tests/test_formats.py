@@ -8,7 +8,6 @@ from logent.errors import InvalidPartitionError, ParseError
 from logent.formats import (
     format_distribution,
     format_partition,
-    parse_distance_matrix,
     parse_distribution,
     parse_joint,
     parse_partition,
@@ -30,10 +29,6 @@ class TestPartitionText:
     def test_size_inferred_from_max_index(self):
         p = parse_partition("0,1|2")
         assert p.universe.size == 3
-
-    def test_explicit_size(self):
-        with pytest.raises(InvalidPartitionError):
-            parse_partition("0,1|2", n=4)  # element 3 uncovered
 
     def test_roundtrip_exact(self):
         for text in ("0,1|2|3,4", "0|1|2", "0,1,2,3", "0,2|1,3"):
@@ -66,9 +61,9 @@ def per_chunk_parse(text, n=None):
     return make_partition(blocks, max(map(max, blocks)) + 1 if n is None else n)
 
 
-def outcome(parse, text, n=None):
+def outcome(parse, text):
     try:
-        p = parse(text, n)
+        p = parse(text)
     except (ParseError, InvalidPartitionError) as exc:
         return type(exc), str(exc)
     return p, p.labels
@@ -119,11 +114,6 @@ class TestPartitionTextReading:
         for text in seeded_texts():
             assert outcome(parse_partition, text) == outcome(per_chunk_parse, text)
 
-    @pytest.mark.parametrize("n", [1, 3, 4])
-    def test_explicit_size(self, n):
-        for text in ("0,1|2", "2|1,0", "0|1,x", "0,1||2"):
-            assert outcome(parse_partition, text, n) == outcome(per_chunk_parse, text, n)
-
     def test_formatted_text_is_read_back(self):
         for text in seeded_texts():
             p = parse_partition(text)
@@ -133,22 +123,17 @@ class TestPartitionTextReading:
         "text, n",
         [
             ("0,0,1|2", 3),  # a repeat inside a block: allowed
-            ("0,0,1|2", 4),
             ("0,1|1,2", 3),  # an overlap
-            ("0,1|2,1", 4),
             ("0|2", 3),  # a gap
             ("0,1|3", 4),
-            ("0,1|5", 3),  # an element past n
-            ("0,1|2", 2),
             ("0,1|2", 3),  # each element once: the direct scatter
             ("2|1,0", 3),
-            ("0,3|1|2", 5),  # count short of n
-            ("0,1,1|3", 3),  # count equal to n, with an element past n
-            ("0,1,1|2", 4),  # count equal to n, with a repeat and a gap
+            ("0,1,1|3", 4),  # n elements in all, a repeat leaving a slot empty
         ],
     )
     def test_explicit_size_faults(self, text, n):
-        assert outcome(parse_partition, text, n) == outcome(per_chunk_parse, text, n)
+        # the size parse_partition infers is the size n, one past the largest element
+        assert outcome(parse_partition, text) == outcome(lambda t: per_chunk_parse(t, n), text)
 
 
 def generator_format(partition):
@@ -187,7 +172,6 @@ class TestFormatPartition:
             text = format_partition(p)
             assert text == generator_format(p)
             assert parse_partition(text) == p
-            assert parse_partition(text, p.universe.size).labels == p.labels
 
 
 class TestNumbers:
@@ -222,10 +206,6 @@ class TestMatrices:
     def test_joint_newline_rows(self):
         j = parse_joint("0.25,0.25\n0.25,0.25")
         assert j.nx == 2 and j.ny == 2
-
-    def test_distance_matrix(self):
-        d = parse_distance_matrix("0,3;3,0")
-        assert d.entries == ((0.0, 3.0), (3.0, 0.0))
 
     def test_empty_rejected(self):
         with pytest.raises(ParseError):

@@ -37,22 +37,17 @@ from logent.logical import (
     logical_mutual_joint,
     logical_mutual_partition,
     mixing_entropy,
-    product_measure,
     quadratic_entropy,
 )
 from logent.partitions import (
-    DENSE_RELATION_LIMIT,
-    PairRelation,
     Universe,
     _from_labels,
     discrete_partition,
-    dit_set,
     enumerate_partitions,
     indiscrete_partition,
     join,
     make_partition,
     meet,
-    mutual_dit_set,
 )
 from logent.rng import SplitMix64
 from logent.shannon import (
@@ -61,6 +56,13 @@ from logent.shannon import (
     shannon_entropy_partition,
     shannon_mutual_joint,
     shannon_mutual_partition,
+)
+from logent.spec import (
+    DENSE_RELATION_LIMIT,
+    PairRelation,
+    dit_set,
+    mutual_dit_set,
+    product_measure,
 )
 from logent.verification import random_joint
 
@@ -952,8 +954,14 @@ class TestQuadraticEntropy:
             (((0, math.nan), (math.nan, 0)), "nan at \\(0, 1\\) is not a nonnegative number"),
             (((0, 1), (math.nan, 0)), "nan at \\(1, 0\\) is not a nonnegative number"),
             (((0, 1, 2), (1, 0, 3), (2, 4, 0)), "asymmetric entries at \\(1, 2\\)"),
+            (((0, math.inf), (math.inf, 0)), "infinite distance at \\(0, 1\\)"),
+            (((0, 1), (math.inf, 0)), "infinite distance at \\(1, 0\\)"),
+            (((0, Decimal("inf")), (Decimal("inf"), 0)), "infinite distance at \\(0, 1\\)"),
         ],
-        ids=["str-entry", "int", "int-rows", "none-entry", "nan-pair", "nan-below", "asymmetric"],
+        ids=[
+            "str-entry", "int", "int-rows", "none-entry", "nan-pair", "nan-below", "asymmetric",
+            "inf-pair", "inf-below", "inf-decimal",
+        ],
     )
     def test_refusals_are_distance_matrix_errors(self, entries, message):
         with pytest.raises(InvalidDistanceMatrixError, match=message):

@@ -12,28 +12,30 @@ from logent.errors import (
     SizeMismatchError,
 )
 from logent.partitions import (
-    DENSE_RELATION_LIMIT,
-    PairRelation,
     Partition,
     Universe,
     _from_labels,
     _join_cells,
     bell_number,
     discrete_partition,
-    dit_set,
     enumerate_partitions,
     implication,
     indiscrete_partition,
-    indit_set,
-    interior,
     join,
     lattice_cover_edges,
     make_partition,
     meet,
+    refines,
+)
+from logent.spec import (
+    DENSE_RELATION_LIMIT,
+    PairRelation,
+    dit_set,
+    indit_set,
+    interior,
     mutual_dit_set,
     mutual_dit_set_blockform,
     partition_from_equivalence,
-    refines,
     rst_closure,
 )
 

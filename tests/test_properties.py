@@ -22,26 +22,17 @@ from logent.logical import (
     logical_mutual_joint,
     logical_mutual_partition,
     mixing_entropy,
-    product_measure,
     quadratic_entropy,
 )
 from logent.partitions import (
-    PairRelation,
     Partition,
     Universe,
     _from_labels,
-    dit_set,
     implication,
-    indit_set,
-    interior,
     join,
     make_partition,
     meet,
-    mutual_dit_set,
-    mutual_dit_set_blockform,
-    partition_from_equivalence,
     refines,
-    rst_closure,
 )
 from logent.rng import SplitMix64
 from logent.sampling import pair_distinction_rate
@@ -53,6 +44,17 @@ from logent.shannon import (
     shannon_cross_entropy,
     shannon_entropy_dist,
     shannon_mutual_joint,
+)
+from logent.spec import (
+    PairRelation,
+    dit_set,
+    indit_set,
+    interior,
+    mutual_dit_set,
+    mutual_dit_set_blockform,
+    partition_from_equivalence,
+    product_measure,
+    rst_closure,
 )
 
 

@@ -18,7 +18,6 @@ from logent.rng import (
     _CHUNK,
     SplitMix64,
     _draw_chunks,
-    batch_indices,
     batch_uint64,
     batch_units,
     cumulative_weights,
@@ -60,10 +59,13 @@ def value_tables(p):
     }
 
 
-def _drawn(cum, table, count):
-    """The production kernel's values for draws 1 .. count of seed 0, gathered into one array."""
+def _drawn(cum, count, table=None, seed=0, start=0):
+    """The production kernel's values for draws start+1 .. start+count, gathered into one array;
+    without a table, each draw's outcome number."""
+    if table is None:
+        table = np.arange(len(cum) + 1)
     out = np.empty(count)
-    for _ in _draw_chunks(0, 0, count, cum, table, out):
+    for _ in _draw_chunks(seed, start, count, cum, table, out):
         pass
     return out
 
@@ -123,7 +125,7 @@ class TestGenerator:
         for call in (
             lambda: batch_uint64(0, start, 5),
             lambda: batch_units(0, start, 5),
-            lambda: batch_indices(0, start, 5, cum),
+            lambda: _drawn(cum, 5, start=start),
         ):
             with pytest.raises(DomainError):
                 call()
@@ -140,7 +142,7 @@ class TestGenerator:
 
     def test_zero_probability_never_drawn(self):
         cum = cumulative_weights((0.3, 0.0, 0.7))
-        draws = batch_indices(31337, 0, 50_000, cum)
+        draws = _drawn(cum, 50_000, seed=31337)
         assert 1 not in set(draws.tolist())
 
     def test_final_interval_pinned(self):
@@ -160,9 +162,9 @@ class TestGenerator:
         assert probs[scalar] > 0
         # batch path: the all-ones word is the same forced draw u = 1.0
         inject_words(monkeypatch, np.full(3, 2**64 - 1, dtype=np.uint64))
-        assert batch_indices(0, 0, 3, cum).tolist() == [scalar] * 3
+        assert _drawn(cum, 3).tolist() == [scalar] * 3
         for table in value_tables(Distribution(probs)).values():
-            assert _drawn(cum, table, 3).tolist() == [table[scalar]] * 3
+            assert _drawn(cum, 3, table).tolist() == [table[scalar]] * 3
 
     @pytest.mark.parametrize("start", [0, 12345])
     @pytest.mark.parametrize("count", [2**16 - 1, 2**16, 2**16 + 1, 3 * 2**16 + 5])
@@ -170,9 +172,7 @@ class TestGenerator:
         # these counts span several chunks; a chunk edge must not move any draw
         cum = cumulative_weights((0.3, 0.0, 0.45, 0.25))
         one_shot = np.searchsorted(cum, batch_units(5, start, count), side="left")
-        chunked = batch_indices(5, start, count, cum)
-        assert chunked.dtype == one_shot.dtype
-        assert np.array_equal(chunked, one_shot)
+        assert np.array_equal(_drawn(cum, count, seed=5, start=start), one_shot)
 
 
 def spec_indices(seed, start, count, cum):
@@ -227,14 +227,14 @@ class TestGuideKernel:
         words = _forced_words(cum)
         inject_words(monkeypatch, words)
         expected = spec_indices(0, 0, words.size, cum)
-        assert np.array_equal(batch_indices(0, 0, words.size, cum), expected)
+        assert np.array_equal(_drawn(cum, words.size), expected)
         # the float spec itself agrees with the scalar bisection on these words
         units = batch_units(0, 0, words.size)
         assert [bisect_left(cum, u) for u in units[::97].tolist()] == expected[::97].tolist()
         # each composed table gives its value of the outcome, on either side of a chunk edge
         tables = value_tables(p)
         for name, table in tables.items():
-            assert np.array_equal(_drawn(cum, table, words.size), table[expected]), name
+            assert np.array_equal(_drawn(cum, words.size, table), table[expected]), name
         # and the estimators read these words through the same kernel
         pairs = words.size // 2
         distinct = (expected[0 : 2 * pairs : 2] != expected[1 : 2 * pairs : 2]).astype(np.float64)
@@ -248,7 +248,7 @@ class TestGuideKernel:
         cum = cumulative_weights(Distribution(probs).probs)
         count = _CHUNK + 7
         expected = spec_indices(3, start, count, cum)
-        assert np.array_equal(batch_indices(3, start, count, cum), expected)
+        assert np.array_equal(_drawn(cum, count, seed=3, start=start), expected)
 
     @pytest.mark.parametrize("start", [0, 12345])
     # the chunk edges, and counts that end inside a chunk
@@ -281,7 +281,7 @@ class TestGuideKernel:
         total = sum(weights)
         cum = cumulative_weights(Distribution(tuple(Fraction(w, total) for w in weights)).probs)
         expected = spec_indices(seed, start, 5000, cum)
-        assert np.array_equal(batch_indices(seed, start, 5000, cum), expected)
+        assert np.array_equal(_drawn(cum, 5000, seed=seed, start=start), expected)
 
 
 ESTIMATOR_CASES = {
@@ -521,7 +521,7 @@ class TestValuesBuffer:
             lambda seed: pair_distinction_rate(p, 200_000, seed),
             lambda seed: average_difference_rate(p, 200_000, seed),
             lambda seed: typical_message_stats(p, 1000, 200, seed),
-            lambda seed: batch_indices(seed, 0, 200_000, cum).tolist(),
+            lambda seed: _drawn(cum, 200_000, seed=seed).tolist(),
         ]
         seeds = range(20, 26)
         expected = [[call(s) for call in calls] for s in seeds]

@@ -13,9 +13,10 @@ import pytest
 
 from logent.cli import CommandResult
 from logent.logical import DistanceMatrix, Distribution, JointDistribution, MixingReport
-from logent.partitions import PairRelation, Universe, make_partition
+from logent.partitions import Universe, make_partition
 from logent.sampling import SampleReport
 from logent.shannon import StirlingReport
+from logent.spec import PairRelation
 
 VALUES = {
     "Universe": (lambda: Universe(3), "Universe(size=3)"),
