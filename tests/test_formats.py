@@ -114,6 +114,12 @@ class TestPartitionTextReading:
         for text in seeded_texts():
             assert outcome(parse_partition, text) == outcome(per_chunk_parse, text)
 
+    @pytest.mark.parametrize("n", [3])
+    def test_explicit_size(self, n):
+        # n is the size parse_partition infers for each of these texts
+        for text in ("0,1|2", "2|1,0", "0|1,x", "0,1||2"):
+            assert outcome(parse_partition, text) == outcome(lambda t: per_chunk_parse(t, n), text)
+
     def test_formatted_text_is_read_back(self):
         for text in seeded_texts():
             p = parse_partition(text)
