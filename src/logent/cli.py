@@ -3,8 +3,8 @@
 Every subcommand prints one JSON object to stdout carrying the computed
 quantities, a unit for each, and the residuals of whatever identities apply
 to the inputs.  ``--pretty`` switches to an aligned, human-readable listing.
-Exit codes: 0 on success, 1 on an input error, 2 when ``verify`` finds a
-failing identity.
+Exit codes: 0 on success, 1 on an input error, 2 when any ``verify`` suite
+fails, a broken measure included.
 """
 
 from __future__ import annotations

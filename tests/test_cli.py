@@ -233,6 +233,15 @@ class TestVerifyCommand:
         assert out["outputs"]["all_passed"] is False
         assert out["outputs"]["failed_suites"] == ["planted_failure"]
 
+    def test_a_broken_measure_is_reported(self, capsys, monkeypatch):
+        from logent import shannon
+
+        substituted = shannon._substituted_sum
+        monkeypatch.setattr(shannon, "_substituted_sum", lambda *a: substituted(*a) + 0.25)
+        code, out, _ = run(capsys, "verify", "--max-n", "2")
+        assert code == 2
+        assert out["outputs"]["failed_suites"] == ["compound_transforms_match_direct"]
+
 
 class TestLatticeCommand:
     @pytest.mark.parametrize("n, count", [(1, 1), (3, 5), (5, 52)])

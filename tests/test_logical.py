@@ -15,7 +15,6 @@ from logent.errors import (
     DomainError,
     InvalidDistanceMatrixError,
     InvalidDistributionError,
-    LogentError,
     SizeMismatchError,
 )
 from logent.logical import (
@@ -957,10 +956,13 @@ class TestQuadraticEntropy:
             (((0, math.inf), (math.inf, 0)), "infinite distance at \\(0, 1\\)"),
             (((0, 1), (math.inf, 0)), "infinite distance at \\(1, 0\\)"),
             (((0, Decimal("inf")), (Decimal("inf"), 0)), "infinite distance at \\(0, 1\\)"),
+            (((0, Decimal("nan")), (Decimal("nan"), 0)), "not a matrix of numbers"),
+            (((0, Decimal(1)), (Decimal(1), 0)), "non-real distance Decimal\\('1'\\) at \\(0, 1\\)"),
+            (((0, 1), (Decimal(1), 0)), "non-real distance Decimal\\('1'\\) at \\(1, 0\\)"),
         ],
         ids=[
             "str-entry", "int", "int-rows", "none-entry", "nan-pair", "nan-below", "asymmetric",
-            "inf-pair", "inf-below", "inf-decimal",
+            "inf-pair", "inf-below", "inf-decimal", "nan-decimal", "decimal-pair", "decimal-below",
         ],
     )
     def test_refusals_are_distance_matrix_errors(self, entries, message):
@@ -970,6 +972,12 @@ class TestQuadraticEntropy:
     def test_dimension_mismatch(self):
         with pytest.raises(SizeMismatchError):
             quadratic_entropy(Distribution((0.5, 0.5)), DistanceMatrix.logical(3))
+
+    def test_numpy_integer_distances_are_accepted(self):
+        import numpy as np
+
+        d = DistanceMatrix(((0, np.int64(3)), (np.int64(3), 0)))
+        assert quadratic_entropy(Distribution((0.5, 0.5)), d) == 1.5
 
 
 class TestMixing:
@@ -994,17 +1002,3 @@ class TestMixing:
         assert report.h_mix == Fraction(15, 32)
         assert report.h_mix == report.cross / 2 + (report.mean_h * 2) / 4
         assert report.cross >= report.h_mix >= report.mean_h
-
-    def test_exact_inputs_must_meet_the_identity_exactly(self, monkeypatch):
-        import logent.logical
-
-        exact_cross = logent.logical.logical_cross_entropy
-        monkeypatch.setattr(
-            logent.logical,
-            "logical_cross_entropy",
-            lambda p, q: exact_cross(p, q) + Fraction(1, 10**20),
-        )
-        p = Distribution((Fraction(1, 2), Fraction(1, 2)))
-        q = Distribution((Fraction(1, 4), Fraction(3, 4)))
-        with pytest.raises(LogentError):
-            mixing_entropy(p, q)
