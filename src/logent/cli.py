@@ -4,12 +4,14 @@ Every subcommand prints one JSON object to stdout carrying the computed
 quantities, a unit for each, and the residuals of whatever identities apply
 to the inputs.  ``--pretty`` switches to an aligned, human-readable listing.
 Exit codes: 0 on success, 1 on an input error, 2 when any ``verify`` suite
-fails, a broken measure included.
+fails, a broken measure included.  ``python -m logent.cli`` and the ``logent``
+script both leave through ``run``, which skips the exit-time collections.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -475,5 +477,12 @@ def main(argv=None) -> int:
     return result.exit_code
 
 
+def run():
+    """Run ``main`` and exit with its code, its objects frozen so the shutdown collections skip them."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -69,7 +69,8 @@ def _report(values: np.ndarray, seed: int) -> SampleReport:
     The variance is ``np.std(ddof=1)``'s arithmetic in place: ``_std_error`` bit for bit.
     """
     mean, n, std_error = values.mean(), values.size, 0.0
-    if n > 1 and values.min() != values.max():
+    head = values[:64]  # a sample that varies almost always varies here; a constant one is scanned whole
+    if n > 1 and (head.min() != head.max() or values.min() != values.max()):
         np.subtract(values, mean, out=values)
         np.square(values, out=values)
         std_error = math.sqrt(values.sum() / (n - 1)) / math.sqrt(n)

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -415,3 +416,58 @@ class TestOutputContract:
         code, out, _ = run(capsys, "joint", str(path))
         assert code == 0
         assert out["outputs"]["I_xy"] == pytest.approx(0.0, abs=1e-12)
+
+
+def child(*args):
+    """``python *args`` in a child process that imports this checkout's ``logent``."""
+    return subprocess.run(
+        [sys.executable, *args],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+
+
+class TestExitRoute:
+    """``python -m logent.cli`` and the ``logent`` script leave through ``cli.run``."""
+
+    def test_module_run_prints_what_main_prints(self, capsys):
+        done = child("-m", "logent.cli", "entropy", "0,1|2")
+        assert main(["entropy", "0,1|2"]) == 0
+        assert (done.returncode, done.stdout, done.stderr) == (0, capsys.readouterr().out, "")
+
+    def test_input_error_exits_one(self):
+        done = child("-m", "logent.cli", "entropy", "x|")
+        assert done.returncode == 1
+        assert done.stdout == "" and done.stderr.startswith("error: ")
+
+    def test_failing_suite_exits_two(self):
+        skew = (
+            "import logent.shannon as s, runpy; f = s._substituted_sum; "
+            "s._substituted_sum = lambda *a: f(*a) + 0.25; "
+            "runpy.run_module('logent.cli', run_name='__main__')"
+        )
+        done = child("-c", skew, "verify", "--max-n", "2")
+        assert done.returncode == 2
+        assert json.loads(done.stdout)["outputs"]["failed_suites"] == ["compound_transforms_match_direct"]
+
+    def test_exit_runs_atexit_after_the_freeze(self):
+        code = (
+            "import atexit, gc, logent.cli as c; "
+            "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0)); c.run()"
+        )
+        done = child("-c", code, "stirling", "6,6")
+        assert done.returncode == 0
+        assert done.stdout.splitlines()[-1] == "frozen True"
+
+    def test_main_leaves_the_collector_alone(self, capsys):
+        frozen, enabled = gc.get_freeze_count(), gc.isenabled()
+        assert main(["entropy", "0,1|2"]) == 0
+        assert main(["entropy", "x|"]) == 1
+        capsys.readouterr()
+        assert (gc.get_freeze_count(), gc.isenabled()) == (frozen, enabled)
+
+    def test_console_script_is_the_exit_route(self):
+        pyproject = (SRC.parent / "pyproject.toml").read_text()
+        assert 'logent = "logent.cli:run"' in pyproject

@@ -329,6 +329,7 @@ def _report_cases():
     r = np.random.default_rng(20261019)
     cases = {f"size-{n}": r.normal(size=n) for n in (1, 2, 129, 1025)}
     cases["constant"] = np.full(1000, 0.1)
+    cases["last-differs"] = np.append(np.zeros(10_000), 1.0)
     cases["alternating"] = np.tile([0.0, 1.0], 10**6 // 2)
     cases["offset-1e8"] = 1e8 + r.normal(scale=1e-3, size=10_000)
     cases["log2-probs"] = np.log2(r.dirichlet(np.ones(7), size=4000).ravel())
@@ -346,6 +347,11 @@ class TestReportArithmetic:
         report = _report(values.copy(), 9)  # _report consumes its array
         assert (report.estimate, report.std_error) == (float(values.mean()), _std_error(values))
         assert (report.trials, report.seed) == (values.size, 9)
+
+    @pytest.mark.parametrize("size", [2, 64, 65, 10**5])
+    def test_constant_sample_has_zero_spread(self, size):
+        report = _report(np.full(size, 0.25), 9)
+        assert (report.estimate, report.std_error) == (0.25, 0.0)
 
 
 @pytest.mark.parametrize("seed", [1.5, "7", True, None])
