@@ -4,8 +4,9 @@ Every subcommand prints one JSON object to stdout carrying the computed
 quantities, a unit for each, and the residuals of whatever identities apply
 to the inputs.  ``--pretty`` switches to an aligned, human-readable listing.
 Exit codes: 0 on success, 1 on an input error, 2 when any ``verify`` suite
-fails, a broken measure included.  ``python -m logent.cli`` and the ``logent``
-script both leave through ``run``, which skips the exit-time collections.
+fails, a broken measure included, and 1 when stdout's reader closes early.
+``python -m logent.cli`` and the ``logent`` script both leave through ``run``,
+which skips the exit-time collections.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import argparse
 import gc
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 from typing import NamedTuple
@@ -478,8 +480,17 @@ def main(argv=None) -> int:
 
 
 def run():
-    """Run ``main`` and exit with its code, its objects frozen so the shutdown collections skip them."""
-    code = main()
+    """Run ``main`` and exit with its code, its objects frozen so the shutdown collections skip them.
+
+    A reader that closes stdout early ends the run quietly with code 1: the
+    rest of the output goes to ``os.devnull``, so the exit flush cannot fail again.
+    """
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
     gc.freeze()
     sys.exit(code)
 

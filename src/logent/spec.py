@@ -9,7 +9,10 @@ A relation is irreflexive and anti-transitive exactly when its complement is
 reflexive and transitive, so :meth:`PairRelation.is_irreflexive` and
 :meth:`PairRelation.is_anti_transitive` are the complement's equivalence checks.
 A relation is an n*n-bit integer, bit ``u*n + v`` for (u, v): exact, branch-free
-set algebra, refused above ``DENSE_RELATION_LIMIT`` elements.
+set algebra, refused above ``DENSE_RELATION_LIMIT`` elements.  Each algorithm on
+a relation is one private kernel on that integer (``_closure``, ``_interior``,
+``_broken_law``, ``_classes``, ``_product_numerator``); the exhaustive suites
+call the kernels, and the methods and functions here wrap them.
 """
 
 from __future__ import annotations
@@ -29,6 +32,109 @@ def _check_dense(n: int) -> None:
         raise LimitExceededError(
             f"a dense pair relation on {n} elements exceeds the cap of {DENSE_RELATION_LIMIT}"
         )
+
+
+# ----------------------------------------------------------------------
+# kernels on the n*n-bit mask
+# ----------------------------------------------------------------------
+
+
+def _rows(bits: int, n: int) -> list[int]:
+    """Every row as an n-bit mask, in element order: row u is {v : (u, v) in the relation}."""
+    full_row = (1 << n) - 1
+    return [(bits >> (u * n)) & full_row for u in range(n)]
+
+
+def _transpose(bits: int, n: int) -> int:
+    """Column v of the n x n bit grid becomes row v, sliced from the grid as a string."""
+    grid = format(bits, f"0{n * n}b")[::-1]  # grid[u*n + v] is bit (u, v)
+    return int("".join(grid[v::n] for v in range(n))[::-1], 2)
+
+
+def _is_reflexive(bits: int, n: int) -> bool:
+    return all((bits >> (u * n + u)) & 1 for u in range(n))
+
+
+def _is_symmetric(bits: int, n: int) -> bool:
+    return bits == _transpose(bits, n)
+
+
+def _is_transitive(bits: int, n: int) -> bool:
+    rows = _rows(bits, n)
+    for reach in rows:
+        m = reach
+        while m:
+            v = (m & -m).bit_length() - 1
+            m &= m - 1
+            if rows[v] & ~reach:
+                return False
+    return True
+
+
+def _broken_law(bits: int, n: int) -> str | None:
+    """The first equivalence law the relation breaks, or None for an equivalence relation."""
+    laws = (("reflexive", _is_reflexive), ("symmetric", _is_symmetric), ("transitive", _is_transitive))
+    return next((law for law, holds in laws if not holds(bits, n)), None)
+
+
+def _classes(universe: Universe, bits: int) -> Partition:
+    """The partition whose blocks are the classes of an equivalence relation on the universe.
+
+    Raises :class:`NotEquivalenceError` naming the first law the relation breaks.
+    """
+    n = universe.size
+    law = _broken_law(bits, n)
+    if law is not None:
+        raise NotEquivalenceError(f"relation is not {law}")
+    # an equivalence row is its element's class, so its lowest bit labels the class
+    return _from_labels(universe, [(row & -row).bit_length() - 1 for row in _rows(bits, n)])
+
+
+def _closure(bits: int, n: int) -> int:
+    """Smallest equivalence relation containing the relation.
+
+    Its classes are the connected components of the relation read as an
+    undirected graph, grown on whole row masks: a component absorbs the row
+    (successors and the element itself) of every element whose row reaches
+    into it.
+    """
+    rows = [row | (1 << u) for u, row in enumerate(_rows(bits, n))]
+    unplaced = (1 << n) - 1
+    closed = 0
+    while unplaced:
+        component, previous = unplaced & -unplaced, 0
+        while component != previous:
+            previous = component
+            for row in rows:
+                if row & component:
+                    component |= row
+        unplaced &= ~component
+        m = component
+        while m:
+            u = (m & -m).bit_length() - 1
+            m &= m - 1
+            closed |= component << (u * n)
+    return closed
+
+
+def _interior(bits: int, n: int) -> int:
+    """Largest partition relation contained in the relation: the complement of the
+    closure of the complement."""
+    full = (1 << (n * n)) - 1
+    return full ^ _closure(full ^ bits, n)
+
+
+def _product_numerator(bits: int, n: int, nums) -> int:
+    """Sum of nums[u] * nums[v] over the member pairs (u, v), row by row."""
+    total = 0
+    for u, row in enumerate(_rows(bits, n)):
+        row_sum = 0
+        while row:
+            low = row & -row
+            row_sum += nums[low.bit_length() - 1]
+            row ^= low
+        total += nums[u] * row_sum
+    return total
 
 
 class PairRelation(_Value):
@@ -109,10 +215,6 @@ class PairRelation(_Value):
         n = self.universe.size
         return (self.bits >> (u * n)) & ((1 << n) - 1)
 
-    def _rows(self) -> list[int]:
-        """Every row, in element order: n shifts of the grid instead of one per lookup."""
-        return [self.row(u) for u in range(self.universe.size)]
-
     # ------------------------------------------------------------------
     # set algebra
     # ------------------------------------------------------------------
@@ -152,42 +254,30 @@ class PairRelation(_Value):
         return self.bits & ~other.bits == 0
 
     def transpose(self) -> "PairRelation":
-        """Column v of the n x n bit grid becomes row v, sliced from the grid as a string."""
-        n = self.universe.size
-        grid = format(self.bits, f"0{n * n}b")[::-1]  # grid[u*n + v] is bit (u, v)
-        return self._like(int("".join(grid[v::n] for v in range(n))[::-1], 2))
+        return self._like(_transpose(self.bits, self.universe.size))
 
     # ------------------------------------------------------------------
     # structural predicates, all by enumeration
     # ------------------------------------------------------------------
 
     def is_reflexive(self) -> bool:
-        n = self.universe.size
-        return all((self.bits >> (u * n + u)) & 1 for u in range(n))
+        return _is_reflexive(self.bits, self.universe.size)
 
     def is_irreflexive(self) -> bool:
         return self.complement().is_reflexive()
 
     def is_symmetric(self) -> bool:
-        return self.bits == self.transpose().bits
+        return _is_symmetric(self.bits, self.universe.size)
 
     def is_transitive(self) -> bool:
-        rows = self._rows()
-        for reach in rows:
-            m = reach
-            while m:
-                v = (m & -m).bit_length() - 1
-                m &= m - 1
-                if rows[v] & ~reach:
-                    return False
-        return True
+        return _is_transitive(self.bits, self.universe.size)
 
     def is_anti_transitive(self) -> bool:
         """Whenever (u, w) is a member, every v satisfies (u, v) or (v, w)."""
         return self.complement().is_transitive()
 
     def is_equivalence(self) -> bool:
-        return self.is_reflexive() and self.is_symmetric() and self.is_transitive()
+        return _broken_law(self.bits, self.universe.size) is None
 
 
 # ----------------------------------------------------------------------
@@ -221,32 +311,8 @@ def dit_set(partition: Partition) -> PairRelation:
 
 
 def rst_closure(relation: PairRelation) -> PairRelation:
-    """Smallest equivalence relation containing the given relation.
-
-    Its classes are the connected components of the relation read as an
-    undirected graph, grown on whole row masks: a component absorbs the row
-    (successors and the element itself) of every element whose row reaches
-    into it.
-    """
-    n = relation.universe.size
-    full_row = (1 << n) - 1
-    rows = [row | (1 << u) for u, row in enumerate(relation._rows())]
-    unplaced = full_row
-    bits = 0
-    while unplaced:
-        component, previous = unplaced & -unplaced, 0
-        while component != previous:
-            previous = component
-            for row in rows:
-                if row & component:
-                    component |= row
-        unplaced &= ~component
-        m = component
-        while m:
-            u = (m & -m).bit_length() - 1
-            m &= m - 1
-            bits |= component << (u * n)
-    return PairRelation(relation.universe, bits)
+    """Smallest equivalence relation containing the given relation."""
+    return relation._like(_closure(relation.bits, relation.universe.size))
 
 
 def interior(relation: PairRelation) -> PairRelation:
@@ -254,7 +320,7 @@ def interior(relation: PairRelation) -> PairRelation:
 
     Computed as the complement of the rst-closure of the complement.
     """
-    return rst_closure(relation.complement()).complement()
+    return relation._like(_interior(relation.bits, relation.universe.size))
 
 
 def partition_from_equivalence(relation: PairRelation) -> Partition:
@@ -263,15 +329,7 @@ def partition_from_equivalence(relation: PairRelation) -> Partition:
     Inverse of :func:`indit_set`; raises :class:`NotEquivalenceError` when
     the relation is not reflexive, symmetric, and transitive.
     """
-    if not relation.is_reflexive():
-        raise NotEquivalenceError("relation is not reflexive")
-    if not relation.is_symmetric():
-        raise NotEquivalenceError("relation is not symmetric")
-    if not relation.is_transitive():
-        raise NotEquivalenceError("relation is not transitive")
-    rows = relation._rows()
-    # an equivalence row is its element's class, so its lowest bit labels the class
-    return _from_labels(relation.universe, ((row & -row).bit_length() - 1 for row in rows))
+    return _classes(relation.universe, relation.bits)
 
 
 def mutual_dit_set(p: Partition, s: Partition) -> PairRelation:
@@ -284,18 +342,17 @@ def mutual_dit_set_blockform(p: Partition, s: Partition) -> PairRelation:
     """The same set assembled blockwise as the union of (B - C) x (C - B)."""
     _check_same_universe(p, s)
     n = p.universe.size
+    c_masks = [sum(1 << v for v in c) for c in s.blocks]
     bits = 0
     for b in p.blocks:
-        bset = set(b)
-        for c in s.blocks:
-            cset = set(c)
-            c_minus_b = 0
-            for v in cset - bset:
-                c_minus_b |= 1 << v
+        b_mask = sum(1 << u for u in b)
+        for c_mask in c_masks:
+            c_minus_b = c_mask & ~b_mask
             if not c_minus_b:
                 continue
-            for u in bset - cset:
-                bits |= c_minus_b << (u * n)
+            for u in b:
+                if not (c_mask >> u) & 1:  # u in B - C
+                    bits |= c_minus_b << (u * n)
     return PairRelation(p.universe, bits)
 
 
@@ -307,6 +364,6 @@ def product_measure(relation: PairRelation, p: Distribution):
         )
     if p.is_exact:
         nums, denominator = p._integers
-        return Fraction(sum(nums[i] * nums[j] for i, j in relation.pairs()), denominator**2)
+        return Fraction(_product_numerator(relation.bits, relation.universe.size, nums), denominator**2)
     probs = p.probs
     return _accumulate(probs[i] * probs[j] for i, j in relation.pairs())

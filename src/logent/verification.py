@@ -1,10 +1,17 @@
 """Exhaustive and randomized identity suites.
 
 Small universes are swept completely: every ordered pair of partitions is
-pushed through the lattice identities with exact set equality, and through
-the measure identities with exact rational weights.  Distributions and joint
-matrices are exercised with seeded random inputs at a 1e-12 residual bound.
-The CLI ``verify`` command and the acceptance tests both drive these suites.
+pushed through the lattice identities with exact set equality on the
+n*n-bit relation masks, and through the measure identities under exact
+uniform weights as integer numerators over ``D^2``, ``D`` the weights' common
+denominator.  A production value that is not a rational on that grid fails
+its check.  Each unordered pair is visited once: its symmetric oracle values
+(the mutual dit set and its interior, the closure of the indit union and its
+classes, the covering test, the mutual measure) are computed once, and both
+orderings are checked, each with its own production calls.  Distributions
+and joint matrices are exercised with seeded random inputs at a 1e-12
+residual bound.  The CLI ``verify`` command and the acceptance tests both
+drive these suites.
 """
 
 from __future__ import annotations
@@ -12,6 +19,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .errors import NotEquivalenceError
 from .logical import (
     IDENTITY_TOLERANCE,
     Distribution,
@@ -46,14 +54,14 @@ from .shannon import (
     symmetrized_kl_divergence,
 )
 from .spec import (
-    PairRelation,
+    _broken_law,
+    _classes,
+    _closure,
+    _interior,
+    _product_numerator,
     dit_set,
     indit_set,
-    interior,
     mutual_dit_set_blockform,
-    partition_from_equivalence,
-    product_measure,
-    rst_closure,
 )
 
 
@@ -118,6 +126,22 @@ def random_joint(
 # ----------------------------------------------------------------------
 
 
+def _unordered_pairs(count: int):
+    """Each pair of indices {i <= j} once, with its orderings: (i, i) alone, else (i, j) and (j, i)."""
+    for i in range(count):
+        yield i, i, ((i, i),)
+        for j in range(i + 1, count):
+            yield i, j, ((i, j), (j, i))
+
+
+def _classes_or_none(universe: Universe, bits: int):
+    """The partition of an equivalence relation; None, equal to no partition, for any other."""
+    try:
+        return _classes(universe, bits)
+    except NotEquivalenceError:
+        return None
+
+
 def run_lattice_suites(max_n: int) -> list[SuiteResult]:
     """Exact set identities over every ordered partition pair for n <= max_n."""
     relation_laws = SuiteResult("dit_indit_partition_relation_laws")
@@ -133,47 +157,46 @@ def run_lattice_suites(max_n: int) -> list[SuiteResult]:
 
     for n in range(1, max_n + 1):
         parts = list(enumerate_partitions(n))
-        full = PairRelation.full(n)
+        universe = parts[0].universe
+        full = (1 << (n * n)) - 1
         discrete = parts[-1]
-        dits = [dit_set(p) for p in parts]
-        indits = [indit_set(p) for p in parts]
+        dits = [dit_set(p).bits for p in parts]
+        indits = [indit_set(p).bits for p in parts]
         # Lattice results are looked up by their labels: a result that is not a
         # canonical enumerated partition reads None and fails its check.
-        dit_bits = {p.labels: d.bits for p, d in zip(parts, dits)}.get
+        dit_bits = {p.labels: d for p, d in zip(parts, dits)}.get
 
         for p, d, e in zip(parts, dits, indits):
+            # d is irreflexive, symmetric and anti-transitive: its complement is an equivalence
             relation_laws.exact(
-                d.is_irreflexive()
-                and d.is_symmetric()
-                and d.is_anti_transitive()
-                and e.is_equivalence()
-                and (d.bits | e.bits) == full.bits
-                and (d.bits & e.bits) == 0
+                _broken_law(full ^ d, n) is None
+                and _broken_law(e, n) is None
+                and (d | e) == full
+                and (d & e) == 0
             )
-            roundtrip.exact(partition_from_equivalence(e) == p)
+            roundtrip.exact(_classes_or_none(universe, e) == p)
 
-        for i, p in enumerate(parts):
-            for j, s in enumerate(parts):
-                join_union.exact(dit_bits(join(p, s).labels) == (dits[i].bits | dits[j].bits))
+        for i, j, orderings in _unordered_pairs(len(parts)):
+            mut = dits[i] & dits[j]
+            mut_interior = _interior(mut, n)
+            closed = _classes_or_none(universe, _closure(indits[i] | indits[j], n))
+            covering = (indits[i] | indits[j]) == full
+            for x, y in orderings:
+                p, s, dp, ds = parts[x], parts[y], dits[x], dits[y]
+                join_union.exact(dit_bits(join(p, s).labels) == (dp | ds))
 
-                mut = dits[i] & dits[j]
                 met = meet(p, s)
-                meet_interior.exact(dit_bits(met.labels) == interior(mut).bits)
-                meet_closure.exact(
-                    met == partition_from_equivalence(rst_closure(indits[i] | indits[j]))
-                )
+                meet_interior.exact(dit_bits(met.labels) == mut_interior)
+                meet_closure.exact(met == closed)
 
                 arrow = implication(s, p)
-                formula_bits = interior(dits[j].complement() | dits[i]).bits
-                impl_formula.exact(dit_bits(arrow.labels) == formula_bits)
-                refine_equiv.exact(
-                    refines(s, p) == dits[j].issubset(dits[i]) == (arrow == discrete)
-                )
+                impl_formula.exact(dit_bits(arrow.labels) == _interior((full ^ ds) | dp, n))
+                refine_equiv.exact(refines(s, p) == (ds & ~dp == 0) == (arrow == discrete))
 
-                mut_structure.exact(mut.bits == mutual_dit_set_blockform(p, s).bits)
-                if not dits[i].is_empty and not dits[j].is_empty:
-                    mut_nonempty.exact(not mut.is_empty)
-                if (indits[i].bits | indits[j].bits) == full.bits:
+                mut_structure.exact(mut == mutual_dit_set_blockform(p, s).bits)
+                if dp and ds:
+                    mut_nonempty.exact(mut != 0)
+                if covering:
                     contrapositive.exact(p.is_indiscrete or s.is_indiscrete)
 
     return [
@@ -188,38 +211,39 @@ def run_closure_operator_suite(max_n: int = 4, seed: int = 2024) -> list[SuiteRe
     interior_laws = SuiteResult("interior_idempotent_intensive_monotone")
     gen = SplitMix64(seed)
     for n in range(1, max_n + 1):
-        universe = Universe(n)
         mask = (1 << (n * n)) - 1
-        relations = [dit_set(p) for p in enumerate_partitions(n)]
+        relations = [dit_set(p).bits for p in enumerate_partitions(n)]
         if n <= 3:
-            relations.extend(PairRelation(universe, b) for b in range(mask + 1))
+            relations.extend(range(mask + 1))
         else:
-            relations.extend(
-                PairRelation(universe, gen.next_uint64() & mask) for _ in range(400)
-            )
+            relations.extend(gen.next_uint64() & mask for _ in range(400))
         for rel in relations:
-            closed = rst_closure(rel)
+            closed = _closure(rel, n)
             closure_laws.exact(
-                rel.issubset(closed)
-                and rst_closure(closed).bits == closed.bits
-                and closed.is_equivalence()
+                rel & ~closed == 0 and _closure(closed, n) == closed and _broken_law(closed, n) is None
             )
-            opened = interior(rel)
+            opened = _interior(rel, n)
             interior_laws.exact(
-                opened.issubset(rel)
-                and interior(opened).bits == opened.bits
-                and opened.is_irreflexive()
-                and opened.is_symmetric()
-                and opened.is_anti_transitive()
+                opened & ~rel == 0
+                and _interior(opened, n) == opened
+                # irreflexive, symmetric and anti-transitive: the complement is an equivalence
+                and _broken_law(mask ^ opened, n) is None
             )
-            bigger = rel | PairRelation(universe, gen.next_uint64() & mask)
-            closure_laws.exact(closed.issubset(rst_closure(bigger)))
-            interior_laws.exact(opened.issubset(interior(bigger)))
+            bigger = rel | (gen.next_uint64() & mask)
+            closure_laws.exact(closed & ~_closure(bigger, n) == 0)
+            interior_laws.exact(opened & ~_interior(bigger, n) == 0)
     return [closure_laws, interior_laws]
 
 
+def _on_grid(value, d2: int) -> int | None:
+    """``value * d2`` for an int or a Fraction whose denominator divides d2; None otherwise."""
+    if isinstance(value, (int, Fraction)) and d2 % value.denominator == 0:
+        return value.numerator * (d2 // value.denominator)
+    return None
+
+
 def run_measure_suites(max_n: int) -> list[SuiteResult]:
-    """Exact rational measure identities, uniform weights, all pairs, n <= max_n."""
+    """Exact measure identities as numerators over D^2, uniform weights, all pairs, n <= max_n."""
     entropy_forms = SuiteResult("partition_entropy_block_form")
     inclusion_exclusion = SuiteResult("mutual_equals_inclusion_exclusion")
     conditional = SuiteResult("conditional_equals_join_minus_given")
@@ -228,32 +252,40 @@ def run_measure_suites(max_n: int) -> list[SuiteResult]:
 
     for n in range(2, max_n + 1):
         weights = Distribution.uniform_exact(n)
+        nums, denominator = weights._integers  # every numerator 1 over D = n
+        d2 = denominator * denominator
         parts = list(enumerate_partitions(n))
-        dits = [dit_set(p) for p in parts]
-        entropies = [logical_entropy_partition(p, weights) for p in parts]
+        dits = [dit_set(p).bits for p in parts]
+        entropies = [_on_grid(logical_entropy_partition(p, weights), d2) for p in parts]
 
         for p, d, h in zip(parts, dits, entropies):
-            block_form = 1 - sum(Fraction(len(b), n) ** 2 for b in p.blocks)
-            counting = Fraction(len(d), n * n)
-            entropy_forms.exact(h == block_form == counting == product_measure(d, weights))
+            block_form = d2 - sum(len(b) ** 2 for b in p.blocks)
+            counting = d.bit_count()  # each pair weighs 1/n^2 = 1/D^2
+            entropy_forms.exact(h == block_form == counting == _product_numerator(d, n, nums))
 
-        for i, p in enumerate(parts):
-            for j, s in enumerate(parts):
-                h_p, h_s = entropies[i], entropies[j]
-                h_join = logical_entropy_partition(join(p, s), weights)
-                h_meet = logical_entropy_partition(meet(p, s), weights)
-                m = logical_mutual_partition(p, s, weights)
-                cond = logical_conditional_partition(p, s, weights)
+        for i, j, orderings in _unordered_pairs(len(parts)):
+            mutual = _product_numerator(dits[i] & dits[j], n, nums)
+            for x, y in orderings:
+                p, s, h_p, h_s = parts[x], parts[y], entropies[x], entropies[y]
+                h_join = _on_grid(logical_entropy_partition(join(p, s), weights), d2)
+                h_meet = _on_grid(logical_entropy_partition(meet(p, s), weights), d2)
+                m = _on_grid(logical_mutual_partition(p, s, weights), d2)
+                cond = _on_grid(logical_conditional_partition(p, s, weights), d2)
                 # production (block masses) against the specification (dit-set measure)
                 inclusion_exclusion.exact(
-                    m == h_p + h_s - h_join == product_measure(dits[i] & dits[j], weights)
+                    None not in (h_p, h_s, h_join, m) and m == h_p + h_s - h_join == mutual
                 )
                 conditional.exact(
-                    cond == h_join - h_s == product_measure(dits[i] - dits[j], weights)
+                    None not in (h_s, h_join, cond)
+                    and cond == h_join - h_s == _product_numerator(dits[x] & ~dits[y], n, nums)
                 )
-                submodular.exact(h_meet <= h_p + h_s - h_join)
+                submodular.exact(
+                    None not in (h_p, h_s, h_join, h_meet) and h_meet <= h_p + h_s - h_join
+                )
+                # (1 - h(p v s)) - (1 - h(p))(1 - h(s)) == m - h(p) h(s), times D^4
                 identification.exact(
-                    (1 - h_join) - (1 - h_p) * (1 - h_s) == m - h_p * h_s
+                    None not in (h_p, h_s, h_join, m)
+                    and (d2 - h_join) * d2 - (d2 - h_p) * (d2 - h_s) == m * d2 - h_p * h_s
                 )
 
     return [entropy_forms, inclusion_exclusion, conditional, submodular, identification]

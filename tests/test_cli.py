@@ -468,6 +468,23 @@ class TestExitRoute:
         capsys.readouterr()
         assert (gc.get_freeze_count(), gc.isenabled()) == (frozen, enabled)
 
+    @pytest.mark.parametrize("argv", [["lattice", "6"], ["entropy", "0,1|2"]])
+    def test_closed_stdout_exits_one_quietly(self, argv):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # no reader before the child writes: every write is a broken pipe
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "logent.cli", *argv],
+                env=dict(os.environ, PYTHONPATH=str(SRC)),
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (1, "")  # no traceback, no message
+
     def test_console_script_is_the_exit_route(self):
         pyproject = (SRC.parent / "pyproject.toml").read_text()
         assert 'logent = "logent.cli:run"' in pyproject
