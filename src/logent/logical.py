@@ -8,31 +8,27 @@ and the usual Venn identities hold literally.
 
 That measure is fixed by block masses, so production never builds the pair
 space: a partition pair becomes one table of block-intersection masses, and
-one formula per quantity is evaluated over it.  A joint distribution is the
-pair of its row and column partitions of the cells, under the cell weights.
-The product measure of a dense dit set, in :mod:`logent.spec`, is the specification.
-The cells are the blocks of the two partitions' join, read from the one
-kept pairing of their labels (:func:`logent.partitions._join_cells`), so a
-report's join, meet and table pair the labels once; a cell's mass is its
-join block's mass.  The row and column sums are the partitions' own block
-masses, the numbers ``h(p)`` and :func:`block_probabilities` use (unweighted,
-the block sizes each partition counts once and keeps).  Both
-families read masses over the table's total ``T`` and divide by it: the
-logical measures form one numerator over ``T^2``, the Shannon ones weigh a
-cell by ``m / T``.  The last table built is kept: the conditional and mutual
-measures, logical and Shannon, of the same ``(p, s, weights)``, or of one
-joint on either axis, share one table.  That memo is keyed by identity, not
-equality, since equal weights can be float or exact, and it is swapped in
-one assignment (thread-safe).
+one formula per quantity is evaluated over it.  The cells are the blocks of
+the two partitions' join, read from the one kept pairing of their labels
+(:func:`logent.partitions._join_cells`), so a report's join, meet and table
+pair the labels once; the row and column sums are the partitions' own block
+masses, the numbers ``h(p)`` and :func:`block_probabilities` use.  The last
+partition table is kept for the conditional and mutual measures, logical and
+Shannon, of the same ``(p, s, weights)``: keyed by identity, since equal
+weights can be float or exact, and swapped in one assignment (thread-safe).
+A joint distribution keeps the table of its row and column partitions of the
+cells, read straight from its grid, for both axes.  Both families read masses
+over the table's total ``T``: the logical measures form one numerator over
+``T^2``, the Shannon ones weigh a cell by ``m / T``.  The product measure of
+a dense dit set, in :mod:`logent.spec`, is the specification.
 
-All functions are pure and numeric-type generic: feed them ``float`` entries
-for fast arithmetic or ``fractions.Fraction`` entries for exact arithmetic.
-On the exact path the measures run on integers: a distribution's entries are
-integer numerators over their common denominator ``D``, every partition or
-joint table measure forms one integer numerator over ``D^2``, and a single
-``Fraction`` is built per result.
-Zero-probability outcomes are kept (they contribute nothing) so indices stay
-aligned with user input and distance matrices.
+All functions are pure, and each measure of distributions reads their kind
+once: float entries take one ``math.fsum`` over the terms, ``Fraction`` or
+int entries the exact path, on integers: a distribution's entries are integer
+numerators over their common denominator ``D``, every partition or joint table
+measure forms one numerator over ``D^2``, and one ``Fraction`` is built per
+result.  Zero-probability outcomes are kept (they contribute nothing) so
+indices stay aligned with user input and distance matrices.
 """
 
 from __future__ import annotations
@@ -41,7 +37,7 @@ import math
 import numbers
 import operator
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import reduce
 from itertools import chain
 from typing import Iterable, Iterator, NamedTuple
 
@@ -52,14 +48,7 @@ from .errors import (
     SizeMismatchError,
     _check_positive,
 )
-from .partitions import (
-    Partition,
-    Universe,
-    _Value,
-    _check_same_universe,
-    _join_cells,
-    _partition,
-)
+from .partitions import Partition, _Value, _check_same_universe, _join_cells, _view
 
 NORMALIZATION_TOLERANCE = 1e-9
 IDENTITY_TOLERANCE = 1e-12
@@ -74,11 +63,13 @@ def _left_sum(values: Iterable):
 _EXACT_TYPES = frozenset((int, Fraction))  # tested with issuperset: a C loop, stops at a float
 
 
-def _accumulate(terms: Iterable):
+def _accumulate(terms: Iterable, exact: bool = True):
     """Plain (exact) sum when every term is an int or a Fraction, fsum otherwise.
 
-    So ``0`` and ``0.0`` in a float vector give the same value.
+    So ``0`` and ``0.0`` in a float vector give the same value; ``exact=False`` is one fsum.
     """
+    if not exact:
+        return math.fsum(terms)
     values = list(terms)
     if _EXACT_TYPES.issuperset(map(type, values)):
         return sum(values[1:], values[0]) if values else 0  # no 0 + first: one Fraction op fewer
@@ -100,14 +91,15 @@ class Distribution(_Value):
     def __init__(self, probs: tuple) -> None:
         try:
             values = tuple(probs)
-            for p in values:
-                if not p >= 0:  # also rejects NaN, which compares false with everything
-                    raise InvalidDistributionError(f"probability {p} is not a nonnegative number")
+            if not values:
+                raise InvalidDistributionError("a distribution needs at least one outcome")
             total = _left_sum(values)
+            if not (min(values) >= 0 and total == total):  # C passes: a NaN makes the total NaN
+                for p in values:  # walk the entries to name the first bad one
+                    if not p >= 0:  # also rejects NaN, which compares false with everything
+                        raise InvalidDistributionError(f"probability {p} is not a nonnegative number")
         except TypeError:  # not iterable, or an entry that does not compare or add like a number
             raise InvalidDistributionError(f"{probs!r} is not a sequence of numbers") from None
-        if not values:
-            raise InvalidDistributionError("a distribution needs at least one outcome")
         if abs(float(total) - 1.0) > NORMALIZATION_TOLERANCE:
             raise InvalidDistributionError(f"probabilities sum to {float(total)}, not 1")
         if total != 1:
@@ -120,19 +112,18 @@ class Distribution(_Value):
     def __getitem__(self, i: int):
         return self.probs[i]
 
-    @cached_property
+    @_view
     def _integers(self) -> tuple[tuple[int, ...], int] | None:
         """(numerators, D) with p_i = numerators[i] / D over the lcm D of the denominators.
 
         None unless every entry is a Fraction or an int: only the exact path has them.
+        A float entry settles that in one C pass.
         """
-        if not all(isinstance(p, numbers.Rational) for p in self.probs):
+        probs = self.probs
+        if float in map(type, probs) or not all(isinstance(p, numbers.Rational) for p in probs):
             return None
-        denominator = math.lcm(*(int(p.denominator) for p in self.probs))
-        numerators = tuple(
-            int(p.numerator) * (denominator // int(p.denominator)) for p in self.probs
-        )
-        return numerators, denominator
+        denominator = math.lcm(*(int(p.denominator) for p in probs))
+        return tuple(int(p.numerator) * (denominator // int(p.denominator)) for p in probs), denominator
 
     @property
     def is_exact(self) -> bool:
@@ -166,8 +157,7 @@ class JointDistribution(_Value):
     """A joint probability matrix p(x, y); rows are x values, columns y values.
 
     The cells are validated and normalized as one :class:`Distribution`, kept
-    (not a field) as the weights of the row and column partitions of the
-    cells, cached as ``_axes``; the marginals are cached views.
+    (not a field); the marginals and the mass table are cached views.
     """
 
     _fields = ("rows",)
@@ -194,20 +184,26 @@ class JointDistribution(_Value):
     def ny(self) -> int:
         return len(self.rows[0])
 
-    @cached_property
-    def _axes(self) -> tuple[Partition, Partition]:
-        """The row (x) and column (y) partitions of the cells; cell (i, j) is i*ny + j."""
-        cells = Universe(self.nx * self.ny)
-        rows = tuple(i for i in range(self.nx) for _ in range(self.ny))
-        return _partition(cells, rows), _partition(cells, tuple(range(self.ny)) * self.nx)
-
-    @cached_property
+    @_view
     def marginal_x(self) -> tuple:
         return tuple(map(_left_sum, self.rows))
 
-    @cached_property
+    @_view
     def marginal_y(self) -> tuple:
-        return tuple(_left_sum(r[j] for r in self.rows) for j in range(self.ny))
+        return tuple(map(_left_sum, zip(*self.rows)))
+
+    @_view
+    def _table(self) -> "_MassTable":
+        """The cell partitions' table from the grid: cells row by row, numerators over D if exact."""
+        integers = self._cells._integers
+        if integers is None:
+            grid, total, rows, cols = self.rows, 1, self.marginal_x, self.marginal_y
+        else:
+            nums, total = integers
+            grid = tuple(nums[k : k + self.ny] for k in range(0, len(nums), self.ny))
+            rows, cols = tuple(map(_left_sum, grid)), tuple(map(_left_sum, zip(*grid)))
+        cells = tuple((i, j, m) for i, r in enumerate(grid) for j, m in enumerate(r))
+        return _MassTable(cells, rows, cols, total, integers is not None)
 
     def cells(self) -> Iterator[tuple[int, int, object]]:
         for i, r in enumerate(self.rows):
@@ -228,6 +224,8 @@ class JointDistribution(_Value):
 
     @classmethod
     def uniform(cls, nx: int, ny: int) -> "JointDistribution":
+        _check_positive("row count", nx)
+        _check_positive("column count", ny)
         return cls(tuple((1.0 / (nx * ny),) * ny for _ in range(nx)))
 
     @classmethod
@@ -277,7 +275,7 @@ class DistanceMatrix(_Value):
 
 
 def _check_same_length(p: Distribution, q: Distribution) -> None:
-    if len(p) != len(q):
+    if len(p.probs) != len(q.probs):
         raise SizeMismatchError(f"distributions of length {len(p)} and {len(q)}")
 
 
@@ -293,7 +291,7 @@ def logical_entropy_dist(p: Distribution):
 
 def identification_probability(p: Distribution):
     """sum(p_i^2): the repeat rate, complement of the logical entropy."""
-    return _accumulate(q * q for q in p.probs)
+    return _accumulate([q * q for q in p.probs], p.is_exact)
 
 
 def _block_masses(partition: Partition, weights: Distribution | None) -> tuple:
@@ -366,13 +364,10 @@ def _partition_table(p: Partition, s: Partition, weights: Distribution | None) -
 
 
 def _joint_table(joint: JointDistribution, given: str = "y") -> _MassTable:
-    """The table of the joint's row and column partitions under its cell weights.
-
-    Both axes read the one memoized table; ``given='x'`` transposes it.
-    """
+    """The joint's table, kept on the joint: both axes read it; ``given='x'`` transposes it."""
     if given not in ("x", "y"):
         raise DomainError(f"axis selector must be 'x' or 'y', got {given!r}")
-    table = _partition_table(*joint._axes, joint._cells)
+    table = joint._table
     if given == "y":
         return table
     transposed = tuple((j, i, m) for i, j, m in table.cells)
@@ -465,7 +460,7 @@ def logical_mutual_joint(joint: JointDistribution):
 def logical_cross_entropy(p: Distribution, q: Distribution):
     """h(p||q) = 1 - sum(p_i * q_i); symmetric, and h(p||p) = h(p)."""
     _check_same_length(p, q)
-    return 1 - _accumulate(a * b for a, b in zip(p.probs, q.probs))
+    return 1 - _accumulate([a * b for a, b in zip(p.probs, q.probs)], p.is_exact and q.is_exact)
 
 
 def logical_divergence(p: Distribution, q: Distribution):
@@ -474,8 +469,9 @@ def logical_divergence(p: Distribution, q: Distribution):
     Identical to the Jensen difference h(p||q) - [h(p) + h(q)] / 2.
     """
     _check_same_length(p, q)
-    half = Fraction(1, 2) if p.is_exact and q.is_exact else 0.5
-    return half * _accumulate((a - b) * (a - b) for a, b in zip(p.probs, q.probs))
+    exact = p.is_exact and q.is_exact
+    terms = [(a - b) * (a - b) for a, b in zip(p.probs, q.probs)]
+    return (Fraction(1, 2) if exact else 0.5) * _accumulate(terms, exact)
 
 
 def quadratic_entropy(p: Distribution, distances: DistanceMatrix):

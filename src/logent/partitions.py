@@ -29,7 +29,6 @@ exactly once skips it.
 from __future__ import annotations
 
 from collections import Counter
-from functools import cached_property
 from operator import attrgetter
 from typing import Iterable, Iterator
 
@@ -46,7 +45,7 @@ DEFAULT_ENUMERATION_LIMIT = 12
 
 class _Value:
     """A frozen value: ``==``, ``hash`` and ``repr`` read only the fields named in ``_fields``,
-    which ``__init__`` writes once into the instance dict; a ``cached_property`` view kept
+    which ``__init__`` writes once into the instance dict; a :class:`_view` kept
     beside them there is not part of the value."""
 
     def __init_subclass__(cls) -> None:
@@ -69,6 +68,19 @@ class _Value:
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+class _view:
+    """``functools.cached_property`` without its per-class lock (taken on first reads before 3.12):
+    threads that miss together each compute, and ``setdefault`` hands all one kept value."""
+
+    def __init__(self, compute) -> None:
+        self.compute, self.name, self.__doc__ = compute, compute.__name__, compute.__doc__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        return vars(instance).setdefault(self.name, self.compute(instance))
 
 
 class Universe(_Value):
@@ -105,7 +117,7 @@ class Partition(_Value):
             )
         vars(self).update(universe=universe, labels=canonical.labels)
 
-    @cached_property
+    @_view
     def blocks(self) -> tuple[tuple[int, ...], ...]:
         """The classes of the labels, in label order; built once, not a field."""
         return tuple(map(tuple, self._groups()))
@@ -117,11 +129,11 @@ class Partition(_Value):
             groups[label].append(u)
         return groups
 
-    @cached_property
+    @_view
     def n_blocks(self) -> int:
         return max(self.labels) + 1
 
-    @cached_property
+    @_view
     def _block_sizes(self) -> tuple[int, ...]:
         """Each block's size, in label order (the order labels first appear); counted once."""
         return tuple(Counter(self.labels).values())
@@ -220,7 +232,7 @@ def indiscrete_partition(n: int) -> Partition:
 
 
 def _check_same_universe(p: Partition, s: Partition) -> Universe:
-    if p.universe != s.universe:
+    if p.universe.size != s.universe.size:
         raise SizeMismatchError(
             f"partitions on universes of size {p.universe.size} and {s.universe.size}"
         )

@@ -19,6 +19,7 @@ and the ``compound_transforms_match_direct`` suite checks it.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from fractions import Fraction
 from typing import NamedTuple
@@ -39,11 +40,13 @@ from .partitions import Partition
 def _log_to(base: float):
     """The log to ``base``, chosen once per sum: ``math.log2``, ``math.log``, or
     ``log(x) / log(base)``.  Each takes ints of any size, and reads any other
-    number through ``float``."""
+    number through ``float``.  The one check of a base: a finite real > 0, not 1."""
     if base == 2.0:
         return math.log2
     if base == math.e:
         return math.log
+    if not (isinstance(base, numbers.Real) and 0 < base < math.inf and base != 1):
+        raise DomainError(f"log base must be a finite real > 0 other than 1, got {base!r}")
     scale = math.log(base)
     return lambda x: math.log(x) / scale
 
@@ -88,10 +91,10 @@ def _below_range(*dists: Distribution) -> bool:
     """Whether an exact entry is positive but below the normal float range, 2**-1022,
     where a float keeps only some of its digits.  Decided once per call from the
     integer numerators over D: they are scanned only when D is past 2**1022."""
-    return any(
-        d >> 1022 and min(filter(None, nums)) << 1022 < d
-        for nums, d in filter(None, (p._integers for p in dists))
-    )
+    for p in dists:
+        if p.is_exact and (d := p._integers[1]) >> 1022 and min(filter(None, p._integers[0])) << 1022 < d:
+            return True
+    return False
 
 
 def _exact(masses):
@@ -119,7 +122,7 @@ def shannon_hartley(p0: float, base: float = 2.0) -> float:
 
 def _entropy_sum(log, masses, total) -> float:
     """sum q * log(1/q) over the shares q = m / T > 0."""
-    return math.fsum(q * -log(q) for m in masses if (q := m / total) > 0)
+    return math.fsum([q * -log(q) for m in masses if (q := m / total) > 0])
 
 
 def shannon_entropy_dist(p: Distribution, base: float = 2.0) -> float:
@@ -138,17 +141,17 @@ def shannon_entropy_partition(
 def _conditional_sum(log, table) -> float:
     """sum w * log(col / m) over the cells of weight w = m / T > 0."""
     cols, total = table.cols, table.total
-    return math.fsum(w * log(cols[j] / m) for _, j, m in table.cells if (w := m / total) > 0)
+    return math.fsum([w * log(cols[j] / m) for _, j, m in table.cells if (w := m / total) > 0])
 
 
 def _mutual_sum(log, table) -> float:
     """sum w * log(m T / (row col)) over the cells of weight w = m / T > 0."""
     rows, cols, total = table.rows, table.cols, table.total
-    return math.fsum(
+    return math.fsum([
         w * log(m * total / (rows[i] * cols[j]))
         for i, j, m in table.cells
         if (w := m / total) > 0
-    )
+    ])
 
 
 def shannon_conditional_joint(
@@ -180,28 +183,37 @@ def shannon_mutual_partition(
     return _range_sum(_mutual_sum, base, _partition_table(p, s, weights))
 
 
-def _support_sum(p: Distribution, q: Distribution, term, base: float) -> float:
-    """sum of term(log, p_i, q_i) where p_i > 0, each read as m / T of :func:`_over_total`;
-    inf when q lacks mass there."""
-    _check_same_length(p, q)
-
-    def total_of(log, ps, p_total, qs, q_total):
-        total = 0.0
-        for a, b in zip(ps, qs):
-            if a <= 0:
-                continue
+def _cross_sum(log, ps, p_total, qs, q_total) -> float:
+    """sum a * log(1/b) over a = m / T > 0 of p, b that of q; inf when q lacks mass there."""
+    total = 0.0
+    for a, b in zip(ps, qs):
+        if a > 0:
             if b <= 0:
                 return math.inf
-            total += term(log, a / p_total, b / q_total)
-        return total
+            total += a / p_total * -log(b / q_total)
+    return total
 
-    masses = (*_over_total(p), *_over_total(q))
-    return _range_sum(total_of, base, *masses, exact=_below_range(p, q))
+
+def _kl_sum(log, ps, p_total, qs, q_total) -> float:
+    """sum a * log(a / b) over a = m / T > 0 of p, b that of q; inf when q lacks mass there."""
+    total = 0.0
+    for a, b in zip(ps, qs):
+        if a > 0:
+            if b <= 0:
+                return math.inf
+            total += (x := a / p_total) * log(x / (b / q_total))
+    return total
+
+
+def _support_sum(total_of, p: Distribution, q: Distribution, base: float) -> float:
+    """``total_of`` over the masses of :func:`_over_total` of p and q, where p has mass."""
+    _check_same_length(p, q)
+    return _range_sum(total_of, base, *_over_total(p), *_over_total(q), exact=_below_range(p, q))
 
 
 def shannon_cross_entropy(p: Distribution, q: Distribution, base: float = 2.0) -> float:
     """H(p||q) = sum p_i * log(1/q_i); inf when q lacks mass where p has it."""
-    return _support_sum(p, q, lambda log, a, b: a * -log(b), base)
+    return _support_sum(_cross_sum, p, q, base)
 
 
 def symmetrized_cross_entropy(p: Distribution, q: Distribution, base: float = 2.0) -> float:
@@ -210,7 +222,7 @@ def symmetrized_cross_entropy(p: Distribution, q: Distribution, base: float = 2.
 
 def kl_divergence(p: Distribution, q: Distribution, base: float = 2.0) -> float:
     """D(p||q) = sum p_i * log(p_i/q_i) >= 0, zero exactly when p = q."""
-    return _support_sum(p, q, lambda log, a, b: a * log(a / b), base)
+    return _support_sum(_kl_sum, p, q, base)
 
 
 def symmetrized_kl_divergence(p: Distribution, q: Distribution, base: float = 2.0) -> float:
@@ -226,13 +238,15 @@ def dit_to_bit(h0: float, base: float = 2.0) -> float:
     """log(1/(1-h0)): the bit count of the equiprobable set whose dit count is h0."""
     if not 0.0 <= h0 < 1.0:
         raise DomainError(f"normalized dit count must lie in [0, 1), got {h0}")
+    _log_to(base)  # checks the base
     return -math.log1p(-h0) / math.log(base)
 
 
 def bit_to_dit(bits: float, base: float = 2.0) -> float:
     """1 - base**(-bits): inverse of :func:`dit_to_bit`."""
-    if bits < 0:
+    if not bits >= 0:  # also refuses NaN
         raise DomainError(f"bit count must be nonnegative, got {bits}")
+    _log_to(base)  # checks the base
     return -math.expm1(-bits * math.log(base))
 
 
@@ -242,7 +256,15 @@ def _substituted_sum(log, terms) -> float:
     Terms with w = 0 drop out (0 * log(1/0) = 0); x = 0 with w != 0 makes
     the sum infinite.
     """
-    return math.fsum(w * -log(x) if x > 0 else math.inf for w, x in terms if w != 0)
+    return math.fsum([w * -log(x) if x > 0 else math.inf for w, x in terms if w != 0])
+
+
+def _transform_inputs(kind: str, inputs: tuple, *types) -> tuple:
+    """``inputs`` when they are one of each of ``types``; a DomainError naming them otherwise."""
+    if len(inputs) != len(types) or not all(map(isinstance, inputs, types)):
+        takes, got = (", ".join(t.__name__ for t in ts) for ts in (types, map(type, inputs)))
+        raise DomainError(f"transform {kind!r} takes ({takes}), got ({got})")
+    return inputs
 
 
 def dit_bit_transform(kind: str, *inputs, base: float = 2.0) -> float:
@@ -261,17 +283,17 @@ def dit_bit_transform(kind: str, *inputs, base: float = 2.0) -> float:
     against the directly computed Shannon quantity.
     """
     if kind == "entropy":
-        (p,) = inputs
+        (p,) = _transform_inputs(kind, inputs, Distribution)
         # h(p) = sum p (1 - p)
         terms = [(a, a) for a in p.probs]
     elif kind == "conditional":
-        joint, given = inputs
+        joint, given = _transform_inputs(kind, inputs, JointDistribution, str)
         table = _joint_table(joint, given)
         cols, d = table.cols, table.total
         # h(x|y) = sum p [(1 - p) - (1 - p_y)], each probability a mass over T
         terms = [t for _, j, m in table.cells for t in ((m / d, m / d), (-m / d, cols[j] / d))]
     elif kind == "mutual":
-        (joint,) = inputs
+        (joint,) = _transform_inputs(kind, inputs, JointDistribution)
         table = _joint_table(joint)
         rows, cols, d = table.rows, table.cols, table.total
         # m(x,y) = sum p [(1 - p_x) + (1 - p_y) - (1 - p)], each probability a mass over T
@@ -280,12 +302,12 @@ def dit_bit_transform(kind: str, *inputs, base: float = 2.0) -> float:
             for t in ((m / d, rows[i] / d), (m / d, cols[j] / d), (-m / d, m / d))
         ]
     elif kind == "cross":
-        p, q = inputs
+        p, q = _transform_inputs(kind, inputs, Distribution, Distribution)
         _check_same_length(p, q)
         # h(p||q) = sum p (1 - q)
         terms = list(zip(p.probs, q.probs))
     elif kind == "divergence":
-        p, q = inputs
+        p, q = _transform_inputs(kind, inputs, Distribution, Distribution)
         _check_same_length(p, q)
         # d(p||q) = [h(p||q) + h(q||p)] / 2 - [h(p) + h(q)] / 2
         terms = [

@@ -141,10 +141,10 @@ class TestJointDistribution:
         [
             (JointDistribution, "marginal_x"),
             (JointDistribution, "marginal_y"),
-            (JointDistribution, "_axes"),
+            (JointDistribution, "_table"),
             (Distribution, "_integers"),
         ],
-        ids=["marginal_x", "marginal_y", "_axes", "_integers"],
+        ids=["marginal_x", "marginal_y", "_table", "_integers"],
     )
     def test_marginals_are_cached_views(self, kind, view):
         rows = ((Fraction(1, 6), Fraction(1, 3)), (Fraction(1, 4), Fraction(1, 4)))
@@ -154,6 +154,11 @@ class TestJointDistribution:
         fresh = kind(value.rows if kind is JointDistribution else value.probs)
         assert value == fresh
         assert (hash(value), repr(value)) == before == (hash(fresh), repr(fresh))
+
+    @pytest.mark.parametrize("sizes", [(2.5, 2), (2, 2.5), (0, 3), (3, -1), ("2", 2), (2, True)], ids=repr)
+    def test_uniform_joint_rejects_bad_sizes(self, sizes):
+        with pytest.raises(DomainError, match="row count|column count"):
+            JointDistribution.uniform(*sizes)
 
     def test_ragged_rejected(self):
         with pytest.raises(InvalidDistributionError, match="ragged"):
@@ -808,23 +813,27 @@ class TestJointIsItsAxisPartitions:
 
     @pytest.mark.parametrize("kind", ["float", "exact"])
     def test_six_pair_measures_build_one_table(self, kind, monkeypatch):
-        calls = []
-        masses = logical._block_masses
+        """The table is read from the grid once per joint, with no partition of the cells."""
+        builds = []
+        build = JointDistribution._table.compute
 
-        def count_weighted(partition, weights):
-            if weights is not None:
-                calls.append(1)
-            return masses(partition, weights)
+        def counting(joint):
+            builds.append(joint)
+            return build(joint)
 
-        monkeypatch.setattr(logical, "_block_masses", count_weighted)
-        monkeypatch.setattr(logical, "_last_table", (None, None, None, None))
+        def refused(*args):
+            raise AssertionError("a joint table built through the partition route")
+
+        monkeypatch.setattr(JointDistribution._table, "compute", counting)
+        for name in ("_block_masses", "_join_cells", "_partition_table"):
+            monkeypatch.setattr(logical, name, refused)
         j = next(_seeded_joints(kind))
         for measure in (logical_conditional_joint, shannon_conditional_joint):
             measure(j, "y")
             measure(j, "x")
         logical_mutual_joint(j)
         shannon_mutual_joint(j)
-        assert len(calls) == 3  # rows, columns and cells, once
+        assert builds == [j] and j._table.exact == (kind == "exact")
 
 
 class TestFloatBlockMasses:

@@ -435,6 +435,8 @@ class TestDitBitConversion:
             dit_to_bit(-0.1)
         with pytest.raises(DomainError):
             bit_to_dit(-1.0)
+        with pytest.raises(DomainError, match="bit count"):
+            bit_to_dit(math.nan)
 
     def test_roundtrip_grid(self):
         for i in range(1000):
@@ -446,6 +448,43 @@ class TestDitBitConversion:
             p0 = 1 / k
             assert dit_to_bit(1 - p0) == pytest.approx(shannon_hartley(p0), abs=1e-12)
             assert bit_to_dit(shannon_hartley(p0)) == pytest.approx(1 - p0, abs=1e-12)
+
+
+BAD_BASES = [1.0, 0, -2, math.nan, math.inf, "2"]
+
+
+class TestLogBase:
+    """A base that is not a finite real > 0 and other than 1 is a DomainError everywhere."""
+
+    @pytest.mark.parametrize("base", BAD_BASES, ids=repr)
+    @pytest.mark.parametrize(
+        "measure",
+        [
+            lambda b: shannon_entropy_dist(Distribution((0.5, 0.5)), base=b),
+            lambda b: shannon_entropy_partition(make_partition([{0}, {1, 2}], 3), base=b),
+            lambda b: shannon_cross_entropy(HALF_QUARTERS, HALF_QUARTERS, base=b),
+            lambda b: kl_divergence(HALF_QUARTERS, HALF_QUARTERS, base=b),
+            lambda b: shannon_conditional_joint(EXACT_JOINT, base=b),
+            lambda b: shannon_mutual_joint(EXACT_JOINT, base=b),
+            lambda b: dit_bit_transform("entropy", HALF_QUARTERS, base=b),
+            lambda b: shannon_hartley(0.5, base=b),
+            lambda b: dit_to_bit(0.5, base=b),
+            lambda b: bit_to_dit(1.0, base=b),
+        ],
+        ids=["entropy", "partition", "cross", "kl", "conditional", "mutual", "transform",
+             "hartley", "dit_to_bit", "bit_to_dit"],
+    )
+    def test_bad_base_is_a_domain_error(self, measure, base):
+        with pytest.raises(DomainError, match="log base"):
+            measure(base)
+
+    @pytest.mark.parametrize("base", [2, 2.0, math.e, 10, 0.5, Fraction(3, 2)], ids=repr)
+    def test_good_bases_convert_bits(self, base):
+        bits = shannon_entropy_dist(HALF_QUARTERS)
+        assert shannon_entropy_dist(HALF_QUARTERS, base=base) == pytest.approx(
+            bits * math.log(2) / math.log(base), abs=1e-12
+        )
+        assert dit_to_bit(0.5, base=base) == pytest.approx(math.log(2) / math.log(base))
 
 
 class TestDitBitTransform:
@@ -488,6 +527,25 @@ class TestDitBitTransform:
     def test_unknown_selector(self):
         with pytest.raises(DomainError, match="selector"):
             dit_bit_transform("nonsense", HALF_QUARTERS)
+
+    @pytest.mark.parametrize(
+        "kind, inputs, takes",
+        [
+            ("entropy", (HALF_QUARTERS, HALF_QUARTERS), r"\(Distribution\)"),
+            ("entropy", (EXACT_JOINT,), r"\(Distribution\)"),
+            ("conditional", (EXACT_JOINT,), r"\(JointDistribution, str\)"),
+            ("conditional", (HALF_QUARTERS, "y"), r"\(JointDistribution, str\)"),
+            ("mutual", (HALF_QUARTERS,), r"\(JointDistribution\)"),
+            ("mutual", (), r"\(JointDistribution\)"),
+            ("cross", (HALF_QUARTERS,), r"\(Distribution, Distribution\)"),
+            ("divergence", (HALF_QUARTERS, EXACT_JOINT), r"\(Distribution, Distribution\)"),
+        ],
+        ids=["entropy-two", "entropy-joint", "conditional-no-axis", "conditional-dist",
+             "mutual-dist", "mutual-none", "cross-one", "divergence-joint"],
+    )
+    def test_wrong_inputs_name_what_the_kind_takes(self, kind, inputs, takes):
+        with pytest.raises(DomainError, match=f"transform '{kind}' takes {takes}"):
+            dit_bit_transform(kind, *inputs)
 
     @pytest.mark.parametrize("kind", ["cross", "divergence"])
     def test_lengths_must_match(self, kind):
